@@ -19,10 +19,8 @@
      [dominance_slack] of it. *)
 
 module Bench = Bench_common
-module Rng = Ppdc_prelude.Rng
-module Events = Ppdc_traffic.Events
 module Scenario = Ppdc_sim.Scenario
-module Engine = Ppdc_sim.Engine
+module Solvers = Ppdc_sim.Solvers
 module Event_engine = Ppdc_sim.Event_engine
 
 let reference_entry = "comm_mu1e2"
@@ -40,18 +38,13 @@ let scenario ~mu =
 (* Same composite day as the eta_sweep experiment: diurnal hours,
    quarter-hour probes, one mid-day failure episode. *)
 let stream sc =
-  let base = Scenario.events_of_diurnal sc in
-  let probes = Events.probes ~every:0.25 ~horizon:(Events.horizon base) in
-  let episode =
-    Scenario.failure_episode
-      ~rng:(Rng.create (seed + 0xfa11))
-      ~at:5.25 ~duration:1.5 ~fraction:0.05 sc
-  in
-  Events.merge (Events.merge base probes) episode
+  Scenario.enrich ~probe_every:0.25 ~failure_at:5.25 ~seed sc
+    (Scenario.events_of_diurnal sc)
 
 let replay ~mu ~trigger =
   let sc = scenario ~mu in
-  Event_engine.run sc ~policy:Engine.Mpareto ~trigger ~events:(stream sc) ()
+  Event_engine.run sc ~policy:Solvers.Migrate.mpareto ~trigger
+    ~events:(stream sc) ()
 
 let triggers =
   [

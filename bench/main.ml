@@ -19,6 +19,7 @@ module Flow = Ppdc_traffic.Flow
 module Workload = Ppdc_traffic.Workload
 module Scenario = Ppdc_sim.Scenario
 module Engine = Ppdc_sim.Engine
+module Solvers = Ppdc_sim.Solvers
 open Ppdc_core
 
 let run_experiments mode =
@@ -87,7 +88,7 @@ let micro_tests mode =
       (Staged.stage (fun () ->
            ignore
              (Engine.run_day (Scenario.make ~mu:1e4 problem)
-                ~policy:Engine.Mpareto)));
+                ~policy:Solvers.Migrate.mpareto)));
     Test.make ~name:"frontier-search-full"
       (Staged.stage (fun () ->
            ignore

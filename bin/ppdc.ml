@@ -26,6 +26,7 @@ module Registry = Ppdc_experiments.Registry
 module Runner = Ppdc_experiments.Runner
 module Scenario = Ppdc_sim.Scenario
 module Engine = Ppdc_sim.Engine
+module Solvers = Ppdc_sim.Solvers
 open Ppdc_core
 
 (* --- shared arguments -------------------------------------------------- *)
@@ -105,6 +106,14 @@ let with_metrics metrics f =
 let problem_of ~weighted ~k ~l ~n ~seed =
   Runner.fat_tree_problem ~weighted ~k ~l ~n ~seed ()
 
+(* The TOM instance `migrate` and `ilp --tom` share: the DP placement
+   at base rates, then a seeded rate redraw. *)
+let redrawn problem ~seed =
+  let flows = Problem.flows problem in
+  let rates = Flow.base_rates flows in
+  ( (Placement_dp.solve problem ~rates ()).placement,
+    Workload.redraw_rates ~rng:(Rng.create (seed + 1000)) flows )
+
 (* --- topology ----------------------------------------------------------- *)
 
 let topology_cmd =
@@ -136,120 +145,96 @@ let topology_cmd =
   Cmd.v (Cmd.info "topology" ~doc)
     Term.(const run $ domains_arg $ k_arg $ dot_arg)
 
-(* --- place --------------------------------------------------------------- *)
+(* --- solvers -------------------------------------------------------------- *)
 
-let place_algo_arg =
-  let doc = "Placement algorithm: dp (Algo 3), optimal (Algo 4), steering, greedy." in
+(* Every solver-name option is generated from the one table, so the
+   accepted names, the help text and the unknown-name error list
+   exactly {!Solvers.names}. *)
+let solver_arg kind ~long ~default ~what =
+  let names = Solvers.names kind in
+  let doc = Printf.sprintf "%s: %s." what (String.concat ", " names) in
   Arg.(
     value
-    & opt (enum [ ("dp", `Dp); ("optimal", `Optimal); ("steering", `Steering); ("greedy", `Greedy) ]) `Dp
-    & info [ "algo" ] ~docv:"ALGO" ~doc)
+    & opt (enum (List.map (fun n -> (n, n)) names)) (Solvers.name default)
+    & info [ long ] ~docv:(String.uppercase_ascii long) ~doc)
+
+(* Parameters out of a solver's declared domain end the run with the
+   table's own message. *)
+let or_reject f =
+  try f ()
+  with Solvers.Invalid_params msg ->
+    Printf.eprintf "ppdc: %s\n" msg;
+    exit 2
+
+(* --- place --------------------------------------------------------------- *)
 
 let place_cmd =
   let run j k l n seed weighted algo metrics =
     apply_domains j;
     with_metrics metrics @@ fun () ->
+    or_reject @@ fun () ->
+    let entry = Solvers.find Solvers.Placement algo in
     let problem = problem_of ~weighted ~k ~l ~n ~seed in
     let rates = Flow.base_rates (Problem.flows problem) in
-    let name, placement, cost =
-      match algo with
-      | `Dp ->
-          let o = Placement_dp.solve problem ~rates () in
-          ("DP (Algo 3)", o.placement, o.cost)
-      | `Optimal ->
-          let o = Placement_opt.solve problem ~rates () in
-          ( (if o.proven_optimal then "Optimal (Algo 4)" else "Optimal* (budget hit)"),
-            o.placement,
-            o.cost )
-      | `Steering ->
-          let o = Ppdc_baselines.Steering.place problem ~rates in
-          ("Steering [55]", o.placement, o.cost)
-      | `Greedy ->
-          let o = Ppdc_baselines.Greedy_liu.place problem ~rates in
-          ("Greedy [34]", o.placement, o.cost)
+    let o = Solvers.run entry problem ~rates Solvers.default_params in
+    let title =
+      match o.detail with
+      | Some (Search { proven_optimal = false; _ }) ->
+          Solvers.label entry ^ "* (budget hit)"
+      | _ -> Solvers.title entry
     in
-    Format.printf "%s placement: %a@.C_a = %.1f@." name Placement.pp placement
-      cost
+    Format.printf "%s placement: %a@.C_a = %.1f@." title Placement.pp
+      o.placement o.total_cost
   in
   let doc = "Place an SFC with one of the TOP algorithms." in
   Cmd.v (Cmd.info "place" ~doc)
     Term.(
       const run $ domains_arg $ k_arg $ l_arg $ n_arg $ seed_arg
-      $ weighted_arg $ place_algo_arg $ metrics_arg)
+      $ weighted_arg
+      $ solver_arg Solvers.Placement ~long:"algo" ~default:Solvers.Place.dp
+          ~what:"Placement algorithm"
+      $ metrics_arg)
 
 (* --- migrate -------------------------------------------------------------- *)
-
-let migrate_algo_arg =
-  let doc = "Migration algorithm: mpareto (Algo 5), optimal (Algo 6), plan, mcf, none." in
-  Arg.(
-    value
-    & opt
-        (enum
-           [ ("mpareto", `Mpareto); ("optimal", `Optimal); ("plan", `Plan);
-             ("mcf", `Mcf); ("none", `None) ])
-        `Mpareto
-    & info [ "algo" ] ~docv:"ALGO" ~doc)
 
 let migrate_cmd =
   let run j k l n seed weighted mu algo metrics =
     apply_domains j;
     with_metrics metrics @@ fun () ->
+    or_reject @@ fun () ->
+    let entry = Solvers.find Solvers.Migration algo in
     let problem = problem_of ~weighted ~k ~l ~n ~seed in
-    let rates0 = Flow.base_rates (Problem.flows problem) in
-    let current = (Placement_dp.solve problem ~rates:rates0 ()).placement in
-    let rng = Rng.create (seed + 1000) in
-    let rates = Workload.redraw_rates ~rng (Problem.flows problem) in
+    let current, rates = redrawn problem ~seed in
+    let o =
+      Solvers.run entry problem ~rates ~current
+        { Solvers.default_params with mu }
+    in
     let stale = Cost.comm_cost problem ~rates current in
     Format.printf "initial placement: %a@.stale C_a after rate redraw: %.1f@."
       Placement.pp current stale;
-    (match algo with
-    | `Mpareto ->
-        let o = Mpareto.migrate problem ~rates ~mu ~current () in
-        Format.printf
-          "mPareto: moved %d VNFs, C_b = %.1f, C_a = %.1f, C_t = %.1f@."
-          o.moved o.migration_cost o.comm_cost o.total_cost
-    | `Optimal ->
-        let o = Migration_opt.solve problem ~rates ~mu ~current () in
-        Format.printf "Optimal%s: C_t = %.1f, %d nodes explored@."
-          (if o.proven_optimal then "" else "*")
-          o.cost o.explored
-    | `Plan ->
-        let o = Ppdc_baselines.Plan.migrate problem ~rates ~mu_vm:mu ~placement:current () in
-        Format.printf "PLAN: moved %d VMs, C_b = %.1f, C_a = %.1f, C_t = %.1f@."
-          o.migrations o.migration_cost o.comm_cost o.total_cost
-    | `Mcf ->
-        let o =
-          Ppdc_baselines.Mcf_migration.migrate problem ~rates ~mu_vm:mu
-            ~placement:current ()
-        in
-        Format.printf "MCF: moved %d VMs, C_b = %.1f, C_a = %.1f, C_t = %.1f@."
-          o.migrations o.migration_cost o.comm_cost o.total_cost
-    | `None ->
-        let o = Ppdc_baselines.No_migration.evaluate problem ~rates ~placement:current in
-        Format.printf "NoMigration: C_t = %.1f@." o.total_cost)
+    let label = Solvers.label entry in
+    match (o.detail, Solvers.relocates entry) with
+    | Some (Search { proven_optimal; explored }), _ ->
+        Format.printf "%s%s: C_t = %.1f, %d nodes explored@." label
+          (if proven_optimal then "" else "*")
+          o.total_cost explored
+    | _, Nothing -> Format.printf "%s: C_t = %.1f@." label o.total_cost
+    | _, ((Vnfs | Vms) as what) ->
+        Format.printf "%s: moved %d %s, C_b = %.1f, C_a = %.1f, C_t = %.1f@."
+          label o.moves
+          (if what = Vnfs then "VNFs" else "VMs")
+          o.migration_cost o.comm_cost o.total_cost
   in
   let doc = "Migrate after a traffic redraw with one of the TOM algorithms." in
   Cmd.v (Cmd.info "migrate" ~doc)
     Term.(
       const run $ domains_arg $ k_arg $ l_arg $ n_arg $ seed_arg
-      $ weighted_arg $ mu_arg $ migrate_algo_arg $ metrics_arg)
+      $ weighted_arg $ mu_arg
+      $ solver_arg Solvers.Migration ~long:"algo"
+          ~default:Solvers.Migrate.mpareto ~what:"Migration algorithm"
+      $ metrics_arg)
 
 (* --- simulate ------------------------------------------------------------- *)
-
-let policy_arg =
-  let doc =
-    "Migration policy: mpareto, optimal, forecast (mPareto with a perfect \
-     one-hour forecast), plan, mcf, none."
-  in
-  Arg.(
-    value
-    & opt
-        (enum
-           [ ("mpareto", Engine.Mpareto); ("optimal", Engine.Optimal);
-             ("forecast", Engine.Mpareto_lookahead); ("plan", Engine.Plan);
-             ("mcf", Engine.Mcf); ("none", Engine.No_migration) ])
-        Engine.Mpareto
-    & info [ "policy" ] ~docv:"POLICY" ~doc)
 
 let trace_cmd =
   let run k l seed output =
@@ -276,48 +261,19 @@ let trace_cmd =
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(const run $ k_arg $ l_arg $ seed_arg $ output_arg)
 
-(* The discrete-event variant of `simulate`: the same diurnal day as
-   an event stream, replayed by Event_engine under a when-to-migrate
-   trigger, optionally enriched with probe ticks and a failure
-   episode. *)
-let simulate_events ~problem ~trace_path ~seed ~mu ~policy ~trigger
-    ~probe_every ~failure_at =
-  let module Events = Ppdc_traffic.Events in
+(* The per-event variant of `simulate`: the same day as an event
+   stream, replayed by Event_engine under a when-to-migrate trigger,
+   optionally enriched with probe ticks and a failure episode. *)
+let simulate_events ~scenario ~base ~seed ~mu ~policy ~trigger ~probe_every
+    ~failure_at =
   let module Event_engine = Ppdc_sim.Event_engine in
-  let scenario, base =
-    match trace_path with
-    | None ->
-        let scenario = Scenario.make ~mu problem in
-        (scenario, Scenario.events_of_diurnal scenario)
-    | Some path ->
-        let trace = Ppdc_traffic.Trace.load ~path in
-        let problem =
-          Problem.make ~cm:(Problem.cm problem)
-            ~flows:trace.Ppdc_traffic.Trace.flows ~n:(Problem.n problem) ()
-        in
-        (Scenario.make ~mu problem, Events.of_trace trace)
-  in
-  let stream = ref base in
-  (match probe_every with
-  | None -> ()
-  | Some every ->
-      stream :=
-        Events.merge !stream
-          (Events.probes ~every ~horizon:(Events.horizon base)));
-  (match failure_at with
-  | None -> ()
-  | Some at ->
-      stream :=
-        Events.merge !stream
-          (Scenario.failure_episode
-             ~rng:(Rng.create (seed + 0xfa11))
-             ~at ~duration:1.5 ~fraction:0.05 scenario));
-  let r = Event_engine.run scenario ~policy ~trigger ~events:!stream () in
+  let events = Scenario.enrich ?probe_every ?failure_at ~seed scenario base in
+  let r = Event_engine.run scenario ~policy ~trigger ~events () in
   let table =
     Table.create
       ~title:
         (Printf.sprintf "event-driven day: %s, trigger %s (mu=%g)"
-           (Engine.policy_name policy)
+           (Solvers.label policy)
            (Event_engine.trigger_name trigger)
            mu)
       ~columns:[ "time"; "event"; "comm"; "fired"; "migration"; "moves" ]
@@ -357,31 +313,39 @@ let simulate_cmd =
       failure_at metrics =
     apply_domains j;
     with_metrics metrics @@ fun () ->
+    or_reject @@ fun () ->
+    let policy = Solvers.find Solvers.Migration policy in
     let problem = problem_of ~weighted:false ~k ~l ~n ~seed in
+    let scenario, trace =
+      match trace_path with
+      | None -> (Scenario.make ~mu problem, None)
+      | Some path ->
+          let trace = Ppdc_traffic.Trace.load ~path in
+          let flows = trace.Ppdc_traffic.Trace.flows in
+          ( Scenario.make ~mu
+              (Problem.make ~cm:(Problem.cm problem) ~flows
+                 ~n:(Problem.n problem) ()),
+            Some trace )
+    in
     if events || Option.is_some trigger then
-      simulate_events ~problem ~trace_path ~seed ~mu ~policy
+      simulate_events ~scenario ~seed ~mu ~policy ~probe_every ~failure_at
+        ~base:
+          (match trace with
+          | None -> Scenario.events_of_diurnal scenario
+          | Some trace -> Ppdc_traffic.Events.of_trace trace)
         ~trigger:
           (Option.value ~default:(Ppdc_sim.Event_engine.Periodic 1.0) trigger)
-        ~probe_every ~failure_at
     else begin
-      let scenario = Scenario.make ~mu problem in
       let run =
-        match trace_path with
+        match trace with
         | None -> Engine.run_day scenario ~policy
-        | Some path ->
-            let trace = Ppdc_traffic.Trace.load ~path in
-            let flows = trace.Ppdc_traffic.Trace.flows in
-            let problem =
-              Problem.make ~cm:(Problem.cm problem) ~flows
-                ~n:(Problem.n problem) ()
-            in
-            Engine.run_trace (Scenario.make ~mu problem) ~policy ~trace
+        | Some trace -> Engine.run_trace scenario ~policy ~trace
       in
       let table =
         Table.create
           ~title:
             (Printf.sprintf "simulated day: %s (k=%d, l=%d, n=%d, mu=%g)"
-               (Engine.policy_name policy) k l n mu)
+               (Solvers.label policy) k l n mu)
           ~columns:[ "hour"; "comm"; "migration"; "moves"; "total" ]
       in
       Array.iter
@@ -406,8 +370,8 @@ let simulate_cmd =
   in
   let events_arg =
     let doc =
-      "Run the discrete-event simulator instead of the hour engine: the day \
-       becomes an event stream (one rate update per hour, or per trace \
+      "Print the simulator's per-event table instead of the hourly one: \
+       the day is an event stream (one rate update per hour, or per trace \
        epoch with $(b,--trace)) and reconfiguration is decided by \
        $(b,--trigger). Implied by $(b,--trigger)."
     in
@@ -417,7 +381,7 @@ let simulate_cmd =
     let doc =
       "When-to-migrate trigger for $(b,--events): $(b,periodic:SPAN), \
        $(b,threshold:RATIO), $(b,hysteresis:UP,DOWN) or $(b,on-event). \
-       Default periodic:1 (which reproduces the hour engine exactly)."
+       Default periodic:1 (the hourly table's schedule)."
     in
     Arg.(
       value
@@ -444,7 +408,9 @@ let simulate_cmd =
   Cmd.v (Cmd.info "simulate" ~doc)
     Term.(
       const run $ domains_arg $ k_arg $ l_arg $ n_arg $ seed_arg $ mu_arg
-      $ policy_arg $ trace_arg $ events_arg $ trigger_arg $ probe_every_arg
+      $ solver_arg Solvers.Migration ~long:"policy"
+          ~default:Solvers.Migrate.mpareto ~what:"Migration policy"
+      $ trace_arg $ events_arg $ trigger_arg $ probe_every_arg
       $ failure_at_arg $ metrics_arg)
 
 (* --- ilp ------------------------------------------------------------------ *)
@@ -454,12 +420,9 @@ let ilp_cmd =
     let problem = problem_of ~weighted:false ~k ~l ~n ~seed in
     let rates = Flow.base_rates (Problem.flows problem) in
     let lp =
-      if tom then begin
-        let current = (Placement_dp.solve problem ~rates ()).placement in
-        let rng = Rng.create (seed + 1000) in
-        let rates' = Workload.redraw_rates ~rng (Problem.flows problem) in
-        Ilp.tom_lp problem ~rates:rates' ~mu ~current
-      end
+      if tom then
+        let current, rates = redrawn problem ~seed in
+        Ilp.tom_lp problem ~rates ~mu ~current
       else Ilp.top_lp problem ~rates
     in
     match output with

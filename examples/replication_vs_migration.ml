@@ -16,6 +16,7 @@ module Workload = Ppdc_traffic.Workload
 module Diurnal = Ppdc_traffic.Diurnal
 module Scenario = Ppdc_sim.Scenario
 module Engine = Ppdc_sim.Engine
+module Solvers = Ppdc_sim.Solvers
 open Ppdc_core
 open Ppdc_extensions
 
@@ -40,7 +41,7 @@ let () =
   let migration_day =
     Engine.run_day
       (Scenario.make ~mu:3e3 ~initial:Scenario.Hour1 problem)
-      ~policy:Engine.Mpareto
+      ~policy:Solvers.Migrate.mpareto
   in
   let table =
     Table.create

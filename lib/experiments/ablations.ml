@@ -5,7 +5,17 @@ module Flow = Ppdc_traffic.Flow
 module Workload = Ppdc_traffic.Workload
 module Scenario = Ppdc_sim.Scenario
 module Engine = Ppdc_sim.Engine
+module Solvers = Ppdc_sim.Solvers
 open Ppdc_core
+
+(* Mean of [stat] over seeded simulated days of one migration entry;
+   [scenario ~seed] builds each trial's day. *)
+let over_days ~trials ~scenario stat policy =
+  Runner.average ~trials (fun ~seed ->
+      stat (Engine.run_day (scenario ~seed) ~policy))
+
+let day_total (r : Engine.run) = r.total_cost
+let day_moves (r : Engine.run) = float_of_int r.total_migrations
 
 let rescore mode =
   let k = Mode.k_placement mode in
@@ -108,22 +118,13 @@ let mu mode =
   in
   List.iter
     (fun mu ->
-      let day policy ~seed =
-        let problem = Runner.fat_tree_problem ~k ~l ~n ~seed () in
-        Engine.run_day (Scenario.make ~mu problem) ~policy
+      let scenario ~seed =
+        Scenario.make ~mu (Runner.fat_tree_problem ~k ~l ~n ~seed ())
       in
-      let mp =
-        Runner.average ~trials (fun ~seed ->
-            (day Engine.Mpareto ~seed).Engine.total_cost)
-      in
-      let moves =
-        Runner.average ~trials (fun ~seed ->
-            float_of_int (day Engine.Mpareto ~seed).Engine.total_migrations)
-      in
-      let stay =
-        Runner.average ~trials (fun ~seed ->
-            (day Engine.No_migration ~seed).Engine.total_cost)
-      in
+      let days = over_days ~trials ~scenario in
+      let mp = days day_total Solvers.Migrate.mpareto in
+      let moves = days day_moves Solvers.Migrate.mpareto in
+      let stay = days day_total Solvers.Migrate.none in
       Table.add_row table
         [
           Printf.sprintf "1e%d" (int_of_float (Float.log10 mu));
@@ -194,26 +195,18 @@ let initial mode =
           "migration gain";
         ]
   in
-  let day ~initial policy ~seed =
-    let problem = Runner.fat_tree_problem ~k ~l ~n ~seed () in
-    Engine.run_day
-      (Scenario.make ~mu:mu_val
-         ~initial:(match initial with
-           | `Uninformed -> Scenario.Uninformed seed
-           | `Hour1 -> Scenario.Hour1)
-         problem)
-      ~policy
-  in
   List.iter
     (fun (label, initial) ->
-      let mp =
-        Runner.average ~trials (fun ~seed ->
-            (day ~initial Engine.Mpareto ~seed).Engine.total_cost)
+      let scenario ~seed =
+        Scenario.make ~mu:mu_val
+          ~initial:
+            (match initial with
+            | `Uninformed -> Scenario.Uninformed seed
+            | `Hour1 -> Scenario.Hour1)
+          (Runner.fat_tree_problem ~k ~l ~n ~seed ())
       in
-      let stay =
-        Runner.average ~trials (fun ~seed ->
-            (day ~initial Engine.No_migration ~seed).Engine.total_cost)
-      in
+      let mp = over_days ~trials ~scenario day_total Solvers.Migrate.mpareto in
+      let stay = over_days ~trials ~scenario day_total Solvers.Migrate.none in
       Table.add_row table
         [
           label;
@@ -243,19 +236,16 @@ let lookahead mode =
            k l n mu_val)
       ~columns:[ "policy"; "day total"; "VNF moves"; "vs reactive mPareto" ]
   in
-  let day policy ~seed =
-    let problem = Runner.fat_tree_problem ~k ~l ~n ~seed () in
-    Engine.run_day
-      (Scenario.make ~mu:mu_val ~initial:(Scenario.Uninformed seed) problem)
-      ~policy
+  let scenario ~seed =
+    Scenario.make ~mu:mu_val ~initial:(Scenario.Uninformed seed)
+      (Runner.fat_tree_problem ~k ~l ~n ~seed ())
   in
   let summarize policy =
-    ( Runner.average ~trials (fun ~seed -> (day policy ~seed).Engine.total_cost),
-      Runner.average ~trials (fun ~seed ->
-          float_of_int (day policy ~seed).Engine.total_migrations) )
+    ( over_days ~trials ~scenario day_total policy,
+      over_days ~trials ~scenario day_moves policy )
   in
-  let reactive, reactive_moves = summarize Engine.Mpareto in
-  let forecast, forecast_moves = summarize Engine.Mpareto_lookahead in
+  let reactive, reactive_moves = summarize Solvers.Migrate.mpareto in
+  let forecast, forecast_moves = summarize Solvers.Migrate.forecast in
   Table.add_row table
     [
       "mPareto (reactive)";
@@ -303,24 +293,23 @@ let parallel_frontiers mode =
         in
         (problem, current, rates)
       in
-      let parallel =
+      let params =
+        { Solvers.default_params with
+          mu = mu_val; budget = Some (Mode.opt_budget mode) }
+      in
+      let solve solver =
         Runner.average ~trials (fun ~seed ->
             let problem, current, rates = instance ~seed in
-            (Mpareto.migrate problem ~rates ~mu:mu_val ~current ()).total_cost)
+            (Solvers.run solver problem ~rates ~current params).total_cost)
       in
+      let parallel = solve Solvers.Migrate.mpareto in
       let full =
         Runner.average ~trials (fun ~seed ->
             let problem, current, rates = instance ~seed in
             (Frontier_search.migrate problem ~rates ~mu:mu_val ~current ())
               .total_cost)
       in
-      let opt =
-        Runner.average ~trials (fun ~seed ->
-            let problem, current, rates = instance ~seed in
-            (Migration_opt.solve problem ~rates ~mu:mu_val ~current
-               ~budget:(Mode.opt_budget mode) ())
-              .cost)
-      in
+      let opt = solve Solvers.Migrate.optimal in
       Table.add_row table
         [
           string_of_int n;

@@ -1,9 +1,7 @@
 module Table = Ppdc_prelude.Table
-module Rng = Ppdc_prelude.Rng
 module Stats = Ppdc_prelude.Stats
-module Events = Ppdc_traffic.Events
 module Scenario = Ppdc_sim.Scenario
-module Engine = Ppdc_sim.Engine
+module Solvers = Ppdc_sim.Solvers
 module Event_engine = Ppdc_sim.Event_engine
 
 (* The composite day every row replays: the diurnal rate wave as
@@ -12,15 +10,8 @@ module Event_engine = Ppdc_sim.Event_engine
    down at hour 5.25 and comes back 1.5 hours later). Deterministic
    given the seed. *)
 let stream ~seed scenario =
-  let base = Scenario.events_of_diurnal scenario in
-  let horizon = Events.horizon base in
-  let probes = Events.probes ~every:0.25 ~horizon in
-  let episode =
-    Scenario.failure_episode
-      ~rng:(Rng.create (seed + 0xfa11))
-      ~at:5.25 ~duration:1.5 ~fraction:0.05 scenario
-  in
-  Events.merge (Events.merge base probes) episode
+  Scenario.enrich ~probe_every:0.25 ~failure_at:5.25 ~seed scenario
+    (Scenario.events_of_diurnal scenario)
 
 let scenario ~mu ~seed ~k ~l ~n =
   let problem = Runner.fat_tree_problem ~k ~l ~n ~seed () in
@@ -28,130 +19,76 @@ let scenario ~mu ~seed ~k ~l ~n =
 
 let replay ~mu ~trigger ~seed ~k ~l ~n =
   let sc = scenario ~mu ~seed ~k ~l ~n in
-  Event_engine.run sc ~policy:Engine.Mpareto ~trigger ~events:(stream ~seed sc)
-    ()
+  Event_engine.run sc ~policy:Solvers.Migrate.mpareto ~trigger
+    ~events:(stream ~seed sc) ()
 
-(* Averages over trials of one run statistic. *)
-let avg ~trials ~mu ~trigger ~k ~l ~n f =
-  Runner.average ~trials (fun ~seed -> f (replay ~mu ~trigger ~seed ~k ~l ~n))
+(* One table row: the trial means of a replayed day's comm cost,
+   moves, reconfigurations and total. *)
+let columns first =
+  [ first; "comm cost"; "VNF moves"; "reconfigs"; "day total" ]
 
-let mu_sweep mode =
+let row ~trials ~mu ~trigger ~k ~l ~n label =
+  let stat f =
+    Runner.average ~trials (fun ~seed -> f (replay ~mu ~trigger ~seed ~k ~l ~n))
+  in
+  let count f = Printf.sprintf "%.1f" (stat f).Stats.mean in
+  let comm = Runner.mean_cell (stat (fun r -> r.Event_engine.total_comm)) in
+  let moves = count (fun r -> float_of_int r.Event_engine.total_moves) in
+  let reconfigs =
+    count (fun r -> float_of_int r.Event_engine.reconfigurations)
+  in
+  let total = Runner.mean_cell (stat (fun r -> r.Event_engine.total_cost)) in
+  [ label; comm; moves; reconfigs; total ]
+
+(* One table: a row per (label, mu, trigger) point, on the mode's
+   fabric. [title] sees [k l n]. *)
+let sweep mode ~first ~title points =
   let k = Mode.k_placement mode in
   let l = Mode.l_fixed mode in
   let n = Mode.n_dynamic mode in
   let trials = Mode.trials_dynamic mode in
-  let trigger = Event_engine.Threshold 1.2 in
-  let table =
-    Table.create
+  let table = Table.create ~title:(title k l n) ~columns:(columns first) in
+  List.iter
+    (fun (label, mu, trigger) ->
+      Table.add_row table (row ~trials ~mu ~trigger ~k ~l ~n label))
+    points;
+  table
+
+let run mode =
+  let mu, _ = Mode.mu_dynamic mode in
+  [
+    sweep mode ~first:"mu"
       ~title:
         (Printf.sprintf
            "Eta sweep: migration coefficient under a threshold trigger (k=%d, \
-            l=%d, n=%d, eta=1.2)"
-           k l n)
-      ~columns:
-        [ "mu"; "comm cost"; "VNF moves"; "reconfigs"; "day total" ]
-  in
-  List.iter
-    (fun mu ->
-      let stat f = avg ~trials ~mu ~trigger ~k ~l ~n f in
-      let comm = stat (fun r -> r.Event_engine.total_comm) in
-      let moves =
-        stat (fun r -> float_of_int r.Event_engine.total_moves)
-      in
-      let reconfigs =
-        stat (fun r -> float_of_int r.Event_engine.reconfigurations)
-      in
-      let total = stat (fun r -> r.Event_engine.total_cost) in
-      Table.add_row table
-        [
-          Printf.sprintf "1e%d" (int_of_float (Float.log10 mu));
-          Runner.mean_cell comm;
-          Printf.sprintf "%.1f" moves.Stats.mean;
-          Printf.sprintf "%.1f" reconfigs.Stats.mean;
-          Runner.mean_cell total;
-        ])
-    [ 1e2; 1e3; 1e4; 1e5; 1e6 ];
-  table
-
-let eta_sweep mode =
-  let k = Mode.k_placement mode in
-  let l = Mode.l_fixed mode in
-  let n = Mode.n_dynamic mode in
-  let trials = Mode.trials_dynamic mode in
-  let mu, _ = Mode.mu_dynamic mode in
-  let table =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Eta sweep: threshold drift ratio (k=%d, l=%d, n=%d, mu=%g)" k l n
-           mu)
-      ~columns:
-        [ "eta"; "comm cost"; "VNF moves"; "reconfigs"; "day total" ]
-  in
-  List.iter
-    (fun eta ->
-      let trigger = Event_engine.Threshold eta in
-      let stat f = avg ~trials ~mu ~trigger ~k ~l ~n f in
-      let comm = stat (fun r -> r.Event_engine.total_comm) in
-      let moves =
-        stat (fun r -> float_of_int r.Event_engine.total_moves)
-      in
-      let reconfigs =
-        stat (fun r -> float_of_int r.Event_engine.reconfigurations)
-      in
-      let total = stat (fun r -> r.Event_engine.total_cost) in
-      Table.add_row table
-        [
-          Printf.sprintf "%.2f" eta;
-          Runner.mean_cell comm;
-          Printf.sprintf "%.1f" moves.Stats.mean;
-          Printf.sprintf "%.1f" reconfigs.Stats.mean;
-          Runner.mean_cell total;
-        ])
-    [ 1.05; 1.1; 1.2; 1.5; 2.0 ];
-  table
-
-let triggers mode =
-  let k = Mode.k_placement mode in
-  let l = Mode.l_fixed mode in
-  let n = Mode.n_dynamic mode in
-  let trials = Mode.trials_dynamic mode in
-  let mu, _ = Mode.mu_dynamic mode in
-  let table =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Trigger policies over the composite day (k=%d, l=%d, n=%d, mu=%g)"
-           k l n mu)
-      ~columns:
-        [ "trigger"; "comm cost"; "VNF moves"; "reconfigs"; "day total" ]
-  in
-  List.iter
-    (fun (label, trigger) ->
-      let stat f = avg ~trials ~mu ~trigger ~k ~l ~n f in
-      let comm = stat (fun r -> r.Event_engine.total_comm) in
-      let moves =
-        stat (fun r -> float_of_int r.Event_engine.total_moves)
-      in
-      let reconfigs =
-        stat (fun r -> float_of_int r.Event_engine.reconfigurations)
-      in
-      let total = stat (fun r -> r.Event_engine.total_cost) in
-      Table.add_row table
-        [
-          label;
-          Runner.mean_cell comm;
-          Printf.sprintf "%.1f" moves.Stats.mean;
-          Printf.sprintf "%.1f" reconfigs.Stats.mean;
-          Runner.mean_cell total;
-        ])
-    [
-      ("on-event", Event_engine.On_event);
-      ("periodic:1", Event_engine.Periodic 1.0);
-      ("periodic:3", Event_engine.Periodic 3.0);
-      ("threshold:1.2", Event_engine.Threshold 1.2);
-      ("hysteresis:1.2,1.05", Event_engine.Hysteresis { up = 1.2; down = 1.05 });
-    ];
-  table
-
-let run mode = [ mu_sweep mode; eta_sweep mode; triggers mode ]
+            l=%d, n=%d, eta=1.2)")
+      (List.map
+         (fun mu ->
+           ( Printf.sprintf "1e%d" (int_of_float (Float.log10 mu)),
+             mu,
+             Event_engine.Threshold 1.2 ))
+         [ 1e2; 1e3; 1e4; 1e5; 1e6 ]);
+    sweep mode ~first:"eta"
+      ~title:(fun k l n ->
+        Printf.sprintf
+          "Eta sweep: threshold drift ratio (k=%d, l=%d, n=%d, mu=%g)" k l n mu)
+      (List.map
+         (fun eta ->
+           (Printf.sprintf "%.2f" eta, mu, Event_engine.Threshold eta))
+         [ 1.05; 1.1; 1.2; 1.5; 2.0 ]);
+    sweep mode ~first:"trigger"
+      ~title:(fun k l n ->
+        Printf.sprintf
+          "Trigger policies over the composite day (k=%d, l=%d, n=%d, mu=%g)"
+          k l n mu)
+      (List.map
+         (fun (label, trigger) -> (label, mu, trigger))
+         [
+           ("on-event", Event_engine.On_event);
+           ("periodic:1", Event_engine.Periodic 1.0);
+           ("periodic:3", Event_engine.Periodic 3.0);
+           ("threshold:1.2", Event_engine.Threshold 1.2);
+           ( "hysteresis:1.2,1.05",
+             Event_engine.Hysteresis { up = 1.2; down = 1.05 } );
+         ]);
+  ]

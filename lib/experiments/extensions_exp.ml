@@ -6,6 +6,7 @@ module Workload = Ppdc_traffic.Workload
 module Diurnal = Ppdc_traffic.Diurnal
 module Scenario = Ppdc_sim.Scenario
 module Engine = Ppdc_sim.Engine
+module Solvers = Ppdc_sim.Solvers
 open Ppdc_core
 open Ppdc_extensions
 
@@ -146,10 +147,10 @@ let replication mode =
   in
   let mpareto_day ~seed =
     let problem = Runner.fat_tree_problem ~k ~l ~n ~seed () in
-    (Ppdc_sim.Engine.run_day
-       (Ppdc_sim.Scenario.make ~mu ~initial:Ppdc_sim.Scenario.Hour1 problem)
-       ~policy:Ppdc_sim.Engine.Mpareto)
-      .Ppdc_sim.Engine.total_cost
+    (Engine.run_day
+       (Scenario.make ~mu ~initial:Scenario.Hour1 problem)
+       ~policy:Solvers.Migrate.mpareto)
+      .Engine.total_cost
   in
   let mp = Runner.average ~trials (fun ~seed -> mpareto_day ~seed) in
   let static = Runner.average ~trials (fun ~seed -> day ~seed ~budget:0) in
@@ -282,29 +283,27 @@ let churn mode =
       Ppdc_traffic.Trace.churn ~rng:(Rng.create (seed * 37)) ~epochs
         (Problem.flows problem)
     in
-    Ppdc_sim.Engine.run_trace
+    Engine.run_trace
       (Scenario.make ~mu ~initial:(Scenario.Uninformed seed) problem)
       ~policy ~trace
   in
-  let stay =
-    Runner.average ~trials (fun ~seed ->
-        (day Engine.No_migration ~seed).Engine.total_cost)
+  let over stat policy =
+    Runner.average ~trials (fun ~seed -> stat (day policy ~seed))
   in
+  let total_of (r : Engine.run) = r.total_cost in
+  let stay = over total_of Solvers.Migrate.none in
   List.iter
     (fun policy ->
-      let total =
-        Runner.average ~trials (fun ~seed -> (day policy ~seed).Engine.total_cost)
-      in
+      let total = over total_of policy in
       let moves =
-        Runner.average ~trials (fun ~seed ->
-            float_of_int (day policy ~seed).Engine.total_migrations)
+        over (fun r -> float_of_int r.Engine.total_migrations) policy
       in
       Table.add_row table
         [
-          Engine.policy_name policy;
+          Solvers.label policy;
           Runner.mean_cell total;
           Printf.sprintf "%.1f" moves.Stats.mean;
           Printf.sprintf "%.1f%%" (100.0 *. total.Stats.mean /. stay.Stats.mean);
         ])
-    Engine.[ Mpareto; Plan; No_migration ];
+    Solvers.Migrate.[ mpareto; plan; none ];
   [ table ]

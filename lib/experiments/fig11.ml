@@ -2,6 +2,8 @@ module Table = Ppdc_prelude.Table
 module Stats = Ppdc_prelude.Stats
 module Scenario = Ppdc_sim.Scenario
 module Engine = Ppdc_sim.Engine
+module Solvers = Ppdc_sim.Solvers
+module Migrate = Solvers.Migrate
 
 let scenario ~mode ~k ~l ~n ~mu ~seed =
   let problem = Runner.fat_tree_problem ~k ~l ~n ~seed () in
@@ -40,7 +42,7 @@ let run mode =
   let trials = Mode.trials_dynamic mode in
   let mu_lo, mu_hi = Mode.mu_dynamic mode in
   let mu_name mu = Printf.sprintf "%g" mu in
-  let policies = Engine.[ Mpareto; Optimal; Plan; Mcf ] in
+  let policies = Migrate.[ mpareto; optimal; plan; mcf ] in
   (* (a) and (b): one set of day simulations feeds both tables. *)
   let series =
     List.map (fun p -> (p, hourly ~mode ~k ~l ~n ~mu:mu_lo ~trials p)) policies
@@ -53,7 +55,7 @@ let run mode =
            "Fig. 11(a): hourly total cost under dynamic traffic (k=%d, l=%d, \
             n=%d, mu=%s)"
            k l n (mu_name mu_lo))
-      ~columns:("hour" :: List.map Engine.policy_name policies)
+      ~columns:("hour" :: List.map Solvers.label policies)
   in
   let table_b =
     Table.create
@@ -62,7 +64,7 @@ let run mode =
            "Fig. 11(b): hourly migrations — VNF moves (mPareto/Optimal) vs \
             VM moves (PLAN/MCF), k=%d, l=%d, n=%d"
            k l n)
-      ~columns:("hour" :: List.map Engine.policy_name policies)
+      ~columns:("hour" :: List.map Solvers.label policies)
   in
   for h = 0 to hours - 1 do
     Table.add_row table_a
@@ -93,11 +95,11 @@ let run mode =
   in
   List.iter
     (fun l ->
-      let mp4 = total ~mode ~k ~l ~n ~mu:mu_lo ~trials Engine.Mpareto in
-      let op4 = total ~mode ~k ~l ~n ~mu:mu_lo ~trials Engine.Optimal in
-      let mp5 = total ~mode ~k ~l ~n ~mu:mu_hi ~trials Engine.Mpareto in
-      let op5 = total ~mode ~k ~l ~n ~mu:mu_hi ~trials Engine.Optimal in
-      let stay = total ~mode ~k ~l ~n ~mu:mu_lo ~trials Engine.No_migration in
+      let mp4 = total ~mode ~k ~l ~n ~mu:mu_lo ~trials Migrate.mpareto in
+      let op4 = total ~mode ~k ~l ~n ~mu:mu_lo ~trials Migrate.optimal in
+      let mp5 = total ~mode ~k ~l ~n ~mu:mu_hi ~trials Migrate.mpareto in
+      let op5 = total ~mode ~k ~l ~n ~mu:mu_hi ~trials Migrate.optimal in
+      let stay = total ~mode ~k ~l ~n ~mu:mu_lo ~trials Migrate.none in
       Table.add_row table_c
         [
           string_of_int l;
@@ -121,8 +123,8 @@ let run mode =
   in
   List.iter
     (fun n ->
-      let mp = total ~mode ~k ~l ~n ~mu:mu_lo ~trials Engine.Mpareto in
-      let stay = total ~mode ~k ~l ~n ~mu:mu_lo ~trials Engine.No_migration in
+      let mp = total ~mode ~k ~l ~n ~mu:mu_lo ~trials Migrate.mpareto in
+      let stay = total ~mode ~k ~l ~n ~mu:mu_lo ~trials Migrate.none in
       Table.add_row table_d
         [
           string_of_int n;

@@ -1,51 +1,29 @@
 module Table = Ppdc_prelude.Table
 module Flow = Ppdc_traffic.Flow
+module Solvers = Ppdc_sim.Solvers
 open Ppdc_core
-open Ppdc_baselines
 
-(* One data point: mean cost of the four algorithms on fresh seeded
+let algorithms = Solvers.Place.[ optimal; dp; greedy; steering ]
+
+(* One data point: mean cost of each of [algorithms] on fresh seeded
    instances. Shared with Fig. 10, which only flips [weighted]. *)
 let compare_algorithms ~weighted ~mode ~k ~l ~n =
-  let trials = Mode.trials mode in
-  let budget = Mode.opt_budget mode in
-  let point f = Runner.average ~trials f in
-  let instance ~seed = Runner.fat_tree_problem ~weighted ~k ~l ~n ~seed () in
-  let optimal =
-    point (fun ~seed ->
-        let problem = instance ~seed in
-        let rates = Flow.base_rates (Problem.flows problem) in
-        (Placement_opt.solve problem ~rates ~budget ()).cost)
+  let params =
+    { Solvers.default_params with budget = Some (Mode.opt_budget mode) }
   in
-  let dp =
-    point (fun ~seed ->
-        let problem = instance ~seed in
-        let rates = Flow.base_rates (Problem.flows problem) in
-        (Placement_dp.solve problem ~rates ()).cost)
-  in
-  let greedy =
-    point (fun ~seed ->
-        let problem = instance ~seed in
-        let rates = Flow.base_rates (Problem.flows problem) in
-        (Greedy_liu.place problem ~rates).cost)
-  in
-  let steering =
-    point (fun ~seed ->
-        let problem = instance ~seed in
-        let rates = Flow.base_rates (Problem.flows problem) in
-        (Steering.place problem ~rates).cost)
-  in
-  (optimal, dp, greedy, steering)
+  List.map
+    (fun solver ->
+      ( solver,
+        Runner.average ~trials:(Mode.trials mode) (fun ~seed ->
+            let problem = Runner.fat_tree_problem ~weighted ~k ~l ~n ~seed () in
+            let rates = Flow.base_rates (Problem.flows problem) in
+            (Solvers.run solver problem ~rates params).total_cost) ))
+    algorithms
 
-let row label (optimal, dp, greedy, steering) =
-  [
-    label;
-    Runner.mean_cell optimal;
-    Runner.mean_cell dp;
-    Runner.mean_cell greedy;
-    Runner.mean_cell steering;
-  ]
+let row label points =
+  label :: List.map (fun (_, s) -> Runner.mean_cell s) points
 
-let columns = [ "param"; "Optimal"; "DP"; "Greedy"; "Steering" ]
+let columns = "param" :: List.map Solvers.label algorithms
 
 let run mode =
   let k = Mode.k_placement mode in

@@ -15,10 +15,14 @@ val compare_algorithms :
   k:int ->
   l:int ->
   n:int ->
-  Ppdc_prelude.Stats.summary
-  * Ppdc_prelude.Stats.summary
-  * Ppdc_prelude.Stats.summary
-  * Ppdc_prelude.Stats.summary
-(** One data point — mean costs of (Optimal, DP, Greedy, Steering) over
-    the mode's trial count. Shared with Fig. 10, which sets
-    [weighted]. *)
+  (Ppdc_sim.Solvers.t * Ppdc_prelude.Stats.summary) list
+(** One data point: Optimal, DP, Greedy and Steering with their mean
+    costs over the mode's trials. Fig. 10 sets [weighted]. *)
+
+val row :
+  string -> (Ppdc_sim.Solvers.t * Ppdc_prelude.Stats.summary) list ->
+  string list
+(** A table row under [columns]: the label, then one mean±CI cell per
+    algorithm. *)
+
+val columns : string list

@@ -52,19 +52,9 @@ let fat_tree_problem ?(weighted = false) ?(rack_locality = 0.8) ~k ~l ~n ~seed
     () =
   let rng = Rng.create seed in
   let ft, cm =
-    if weighted then begin
-      (* Link delays ~ U(mean 1.5, variance 0.5): half-width sqrt(3*0.5). *)
-      let half_width = sqrt 1.5 in
-      let weight_rng = Rng.split rng in
-      let ft =
-        Fat_tree.build
-          ~weight:(fun _ _ ->
-            Rng.uniform weight_rng ~lo:(1.5 -. half_width)
-              ~hi:(1.5 +. half_width))
-          k
-      in
+    if weighted then
+      let ft = Fat_tree.build_with_delays ~rng k in
       (ft, Cost_matrix.compute ft.graph)
-    end
     else unweighted_fat_tree k
   in
   let flows = Workload.generate_on_fat_tree ~rack_locality ~rng ~l ft in

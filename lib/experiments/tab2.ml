@@ -3,7 +3,7 @@ module Rng = Ppdc_prelude.Rng
 module Flow = Ppdc_traffic.Flow
 module Workload = Ppdc_traffic.Workload
 open Ppdc_core
-open Ppdc_baselines
+module Solvers = Ppdc_sim.Solvers
 
 let run mode =
   let k = Mode.k_placement mode in
@@ -28,12 +28,17 @@ let run mode =
   add "TOP-1" "Optimal (exact stroll)"
     (Stroll_exact.solve ~cm ~src ~dst ~n ~budget:(Mode.opt_budget mode) ())
       .cost;
-  (* TOP. *)
-  add "TOP" "DP (Algo 3)" (Placement_dp.solve problem ~rates ()).cost;
-  add "TOP" "Optimal (Algo 4)"
-    (Placement_opt.solve problem ~rates ~budget:(Mode.opt_budget mode) ()).cost;
-  add "TOP" "Steering [55]" (Steering.place problem ~rates).cost;
-  add "TOP" "Greedy [34]" (Greedy_liu.place problem ~rates).cost;
+  (* TOP and TOM rows straight from the solver table ([primal_dual]
+     has its TOP-1 row above; [forecast] needs a forecast). *)
+  let params =
+    { Solvers.default_params with budget = Some (Mode.opt_budget mode) }
+  in
+  let row problem_name ?current ~rates solver =
+    add problem_name (Solvers.title solver)
+      (Solvers.run solver problem ~rates ?current params).total_cost
+  in
+  List.iter (row "TOP" ?current:None ~rates)
+    Solvers.Place.[ dp; optimal; steering; greedy ];
   add "TOP" "Annealing (extension)"
     (Ppdc_extensions.Placement_anneal.solve ~rng:(Rng.create 3) problem ~rates)
       .cost;
@@ -41,20 +46,7 @@ let run mode =
   let current = (Placement_dp.solve problem ~rates ()).placement in
   let rng = Rng.create 2 in
   let rates' = Workload.redraw_rates ~rng (Problem.flows problem) in
-  let mu = 1e4 in
-  add "TOM" "mPareto (Algo 5)"
-    (Mpareto.migrate problem ~rates:rates' ~mu ~current ()).total_cost;
-  add "TOM" "Optimal (Algo 6)"
-    (Migration_opt.solve problem ~rates:rates' ~mu ~current
-       ~budget:(Mode.opt_budget mode) ())
-      .cost;
-  add "TOM" "PLAN [17]"
-    (Plan.migrate problem ~rates:rates' ~mu_vm:mu ~placement:current ())
-      .total_cost;
-  add "TOM" "MCF [24]"
-    (Mcf_migration.migrate problem ~rates:rates' ~mu_vm:mu ~placement:current
-       ())
-      .total_cost;
-  add "TOM" "NoMigration"
-    (No_migration.evaluate problem ~rates:rates' ~placement:current).total_cost;
+  List.iter
+    (row "TOM" ~current ~rates:rates')
+    Solvers.Migrate.[ mpareto; optimal; plan; mcf; none ];
   [ table ]

@@ -10,6 +10,7 @@ module Cost_matrix = Ppdc_topology.Cost_matrix
 module Flow = Ppdc_traffic.Flow
 module Workload = Ppdc_traffic.Workload
 module Failures = Ppdc_extensions.Failures
+module Solvers = Ppdc_sim.Solvers
 open Ppdc_core
 
 (* Concurrency model (see DESIGN.md §4e/§4j). Four lock classes,
@@ -212,18 +213,7 @@ let load_topology t params =
   if n < 1 then reject Invalid_params "n must be >= 1";
   let rng = Rng.create seed in
   let ft =
-    if weighted then begin
-      (* Same recipe as Runner.fat_tree_problem: link delays uniform
-         with mean 1.5 and variance 0.5. *)
-      let half_width = sqrt 1.5 in
-      let weight_rng = Rng.split rng in
-      Fat_tree.build
-        ~weight:(fun _ _ ->
-          Rng.uniform weight_rng ~lo:(1.5 -. half_width)
-            ~hi:(1.5 +. half_width))
-        k
-    end
-    else Fat_tree.build k
+    if weighted then Fat_tree.build_with_delays ~rng k else Fat_tree.build k
   in
   let flows = Workload.generate_on_fat_tree ~rng ~l ft in
   let graph = ft.Fat_tree.graph in
@@ -284,182 +274,75 @@ let load_topology t params =
       ("cached_cost_matrix", Bool cached);
     ]
 
-(* Algo. 1 lifted to a whole-chain placement: greedy traffic-weighted
-   ingress/egress, primal-dual prize-collecting stroll for the middle
-   n-2 switches. Approximate by construction — the point of exposing it
-   over RPC is comparing it against dp/optimal on live instances. *)
-let primal_dual_place problem ~rates =
-  let att = Cost.attach problem ~rates in
-  let sw = Problem.switches problem in
-  let argmin ?(exclude = -1) score =
-    let best = ref (-1) in
-    let best_v = ref infinity in
-    Array.iter
-      (fun s ->
-        if s <> exclude then begin
-          let v = score s in
-          if Float.compare v !best_v < 0 then begin
-            best := s;
-            best_v := v
-          end
-        end)
-      sw;
-    !best
-  in
-  let n = Problem.n problem in
-  if n = 1 then
-    let s = argmin (fun s -> att.a_in.(s) +. att.a_out.(s)) in
-    ([| s |], Json.Obj [])
-  else begin
-    let p1 = argmin (fun s -> att.a_in.(s)) in
-    let pn = argmin ~exclude:p1 (fun s -> att.a_out.(s)) in
-    if n = 2 then ([| p1; pn |], Json.Obj [])
-    else begin
-      let candidates =
-        Array.of_list
-          (List.filter (fun s -> s <> p1 && s <> pn) (Array.to_list sw))
-      in
-      let o =
-        Stroll_primal_dual.solve ~cm:(Problem.cm problem) ~src:p1 ~dst:pn
-          ~n:(n - 2) ~candidates ()
-      in
-      ( Array.concat [ [| p1 |]; o.switches; [| pn |] ],
-        Json.Obj
-          [ ("prize", fnum o.prize); ("iterations", num o.iterations) ] )
-    end
-  end
+(* Solver dispatch goes through the one table ({!Ppdc_sim.Solvers}):
+   the request names an entry, the entry declares (and validates) the
+   parameters it reads, and the answer renders its uniform outcome. *)
+let solver params kind ~key ~default =
+  Option.fold ~none:default ~some:(Solvers.find ~what:key kind)
+    (Protocol.str_param params key)
 
-let place t params =
-  with_session t params @@ fun s ->
-  let algo = Option.value ~default:"dp" (Protocol.str_param params "algo") in
-  let budget = Protocol.int_param params "budget" in
-  let pair_limit = Protocol.int_param params "pair_limit" in
-  let t0 = Clock.now () in
-  let hit, problem = problem_of t s in
-  let rates = s.rates in
-  let placement, cost, extra =
-    match algo with
-    | "dp" ->
-        let o = Placement_dp.solve problem ~rates ?pair_limit () in
-        (o.placement, o.cost, [ ("objective", fnum o.objective) ])
-    | "optimal" ->
-        let o = Placement_opt.solve problem ~rates ?budget () in
-        ( o.placement,
-          o.cost,
-          [
-            ("proven_optimal", Json.Bool o.proven_optimal);
-            ("explored", num o.explored);
-          ] )
-    | "primal_dual" ->
-        let placement, detail = primal_dual_place problem ~rates in
-        let cost = Cost.comm_cost problem ~rates placement in
-        (placement, cost, [ ("primal_dual", detail) ])
-    | "steering" ->
-        let o = Ppdc_baselines.Steering.place problem ~rates in
-        (o.placement, o.cost, [])
-    | "greedy" ->
-        let o = Ppdc_baselines.Greedy_liu.place problem ~rates in
-        (o.placement, o.cost, [])
-    | other ->
-        reject Invalid_params
-          "unknown algo %S (expected primal_dual, dp, optimal, steering or \
-           greedy)"
-          other
-  in
-  s.placement <- Some placement;
-  Json.Obj
-    (("algo", Json.Str algo)
-    :: ("placement", placement_json placement)
-    :: ("cost", fnum cost)
-    :: ("cache_hit", Json.Bool hit)
-    :: ("elapsed_ms", fnum (1000.0 *. Clock.elapsed_s ~since:t0))
-    :: extra)
+let solver_params params =
+  let mu = Protocol.float_param params "mu" in
+  { Solvers.default_params with
+    mu = Option.value ~default:Solvers.default_params.mu mu;
+    budget = Protocol.int_param params "budget";
+    pair_limit = Protocol.int_param params "pair_limit" }
 
-let migrate t params =
+let detail_fields : Solvers.detail option -> (string * Json.t) list = function
+  | None -> []
+  | Some (Objective x) -> [ ("objective", fnum x) ]
+  | Some (Search { proven_optimal; explored }) ->
+      [ ("proven_optimal", Json.Bool proven_optimal);
+        ("explored", num explored) ]
+  | Some (Frontiers f) -> [ ("frontiers", num f) ]
+  | Some (Primal_dual stroll) ->
+      let fields (s : Solvers.stroll) =
+        [ ("prize", fnum s.prize); ("iterations", num s.iterations) ]
+      in
+      [ ( Solvers.name Solvers.Place.primal_dual,
+          Json.Obj (Option.fold ~none:[] ~some:fields stroll) ) ]
+
+(* [place] and [migrate]: run the named entry against the session.
+   Placements and VNF migrations move the chain, VM migrations move
+   endpoints; both persist for later requests. *)
+let solve kind ~default t params =
   with_session t params @@ fun s ->
-  let algo =
-    Option.value ~default:"mpareto" (Protocol.str_param params "algo")
-  in
-  let mu = Option.value ~default:1e4 (Protocol.float_param params "mu") in
-  let budget = Protocol.int_param params "budget" in
+  let entry = solver params kind ~key:"algo" ~default in
   let current =
-    match s.placement with
-    | Some p -> p
-    | None ->
+    match (kind, s.placement) with
+    | Solvers.Placement, _ -> None
+    | Migration, (Some _ as current) -> current
+    | Migration, None ->
         reject Invalid_params
           "session has no current placement; call place first"
   in
   let t0 = Clock.now () in
   let hit, problem = problem_of t s in
-  let rates = s.rates in
-  let vnf_result migration ~migration_cost ~comm_cost ~total_cost extra =
-    s.placement <- Some migration;
-    ("placement", placement_json migration)
-    :: ("moved", num (Cost.moved ~src:current ~dst:migration))
-    :: ("migration_cost", fnum migration_cost)
-    :: ("comm_cost", fnum comm_cost)
-    :: ("total_cost", fnum total_cost)
-    :: extra
+  let p = solver_params params in
+  let o = Solvers.run entry problem ~rates:s.rates ?current p in
+  s.placement <- Some o.placement;
+  Option.iter (fun flows -> s.flows <- flows) o.flows;
+  let timing =
+    [ ("cache_hit", Json.Bool hit);
+      ("elapsed_ms", fnum (1000.0 *. Clock.elapsed_s ~since:t0)) ]
   in
-  let vm_result (o : Ppdc_baselines.Vm.outcome) =
-    (* VM baselines move endpoints, not VNFs: persist the rehosted
-       flows so later requests see the migrated workload. *)
-    s.flows <- o.flows;
-    [
-      ("moved_vms", num o.migrations);
-      ("migration_cost", fnum o.migration_cost);
-      ("comm_cost", fnum o.comm_cost);
-      ("total_cost", fnum o.total_cost);
-    ]
-  in
-  let fields =
-    match algo with
-    | "mpareto" ->
-        let o = Mpareto.migrate problem ~rates ~mu ~current () in
-        vnf_result o.migration ~migration_cost:o.migration_cost
-          ~comm_cost:o.comm_cost ~total_cost:o.total_cost
-          [ ("frontiers", num (List.length o.points)) ]
-    | "optimal" ->
-        let o = Migration_opt.solve problem ~rates ~mu ~current ?budget () in
-        let migration_cost =
-          Cost.migration_cost problem ~mu ~src:current ~dst:o.migration
-        in
-        vnf_result o.migration ~migration_cost
-          ~comm_cost:(Cost.comm_cost problem ~rates o.migration)
-          ~total_cost:o.cost
-          [
-            ("proven_optimal", Json.Bool o.proven_optimal);
-            ("explored", num o.explored);
-          ]
-    | "plan" ->
-        vm_result
-          (Ppdc_baselines.Plan.migrate problem ~rates ~mu_vm:mu
-             ~placement:current ())
-    | "mcf" ->
-        vm_result
-          (Ppdc_baselines.Mcf_migration.migrate problem ~rates ~mu_vm:mu
-             ~placement:current ())
-    | "none" ->
-        let o =
-          Ppdc_baselines.No_migration.evaluate problem ~rates
-            ~placement:current
-        in
-        [
-          ("moved", num 0);
-          ("migration_cost", fnum 0.0);
-          ("comm_cost", fnum o.comm_cost);
-          ("total_cost", fnum o.total_cost);
-        ]
-    | other ->
-        reject Invalid_params
-          "unknown algo %S (expected mpareto, optimal, plan, mcf or none)"
-          other
+  let placement = ("placement", placement_json o.placement) in
+  let answer =
+    match (kind, Solvers.relocates entry) with
+    | Placement, _ -> (placement :: ("cost", fnum o.total_cost) :: timing)
+    | Migration, relocates ->
+        timing
+        @ (match relocates with
+          | Vnfs -> [ placement; ("moved", num o.moves) ]
+          | Vms -> [ ("moved_vms", num o.moves) ]
+          | Nothing -> [ ("moved", num o.moves) ])
+        @ [ ("migration_cost", fnum o.migration_cost);
+            ("comm_cost", fnum o.comm_cost);
+            ("total_cost", fnum o.total_cost) ]
   in
   Json.Obj
-    (("algo", Json.Str algo)
-    :: ("cache_hit", Json.Bool hit)
-    :: ("elapsed_ms", fnum (1000.0 *. Clock.elapsed_s ~since:t0))
-    :: fields)
+    ((("algo", Json.Str (Solvers.name entry)) :: answer)
+    @ detail_fields o.detail)
 
 let rates_update t params =
   with_session t params @@ fun s ->
@@ -568,53 +451,32 @@ let fail_links t params =
 let simulate_events t params =
   with_session t params @@ fun s ->
   let mu = Option.value ~default:1e4 (Protocol.float_param params "mu") in
+  (* Bad trigger specs and streams raise [Invalid_argument], answered
+     [invalid_params] by [run_handler]. *)
   let trigger =
-    let spec =
-      Option.value ~default:"periodic:1" (Protocol.str_param params "trigger")
-    in
-    match Ppdc_sim.Event_engine.trigger_of_string spec with
-    | trigger -> trigger
-    | exception Invalid_argument msg -> reject Invalid_params "%s" msg
+    Ppdc_sim.Event_engine.trigger_of_string
+      (Option.value ~default:"periodic:1" (Protocol.str_param params "trigger"))
   in
   let policy =
-    match
-      Option.value ~default:"mpareto" (Protocol.str_param params "policy")
-    with
-    | "mpareto" -> Ppdc_sim.Engine.Mpareto
-    | "optimal" -> Ppdc_sim.Engine.Optimal
-    | "forecast" -> Ppdc_sim.Engine.Mpareto_lookahead
-    | "plan" -> Ppdc_sim.Engine.Plan
-    | "mcf" -> Ppdc_sim.Engine.Mcf
-    | "none" -> Ppdc_sim.Engine.No_migration
-    | other ->
-        reject Invalid_params
-          "unknown policy %S (expected mpareto, optimal, forecast, plan, mcf \
-           or none)"
-          other
+    solver params Solvers.Migration ~key:"policy"
+      ~default:Solvers.Migrate.mpareto
   in
   let t0 = Clock.now () in
   let hit, problem = problem_of t s in
   let scenario = Ppdc_sim.Scenario.make ~mu problem in
+  let probe_every = Protocol.float_param params "probe_every" in
+  (match probe_every with
+  | Some e when not (Float.is_finite e && Float.compare e 0.0 > 0) ->
+      reject Invalid_params "probe_every must be finite positive"
+  | _ -> ());
   let events =
-    let base = Ppdc_sim.Scenario.events_of_diurnal scenario in
-    match Protocol.float_param params "probe_every" with
-    | None -> base
-    | Some every when Float.is_finite every && Float.compare every 0.0 > 0 ->
-        Ppdc_traffic.Events.merge base
-          (Ppdc_traffic.Events.probes ~every
-             ~horizon:(Ppdc_traffic.Events.horizon base))
-    | Some _ -> reject Invalid_params "probe_every must be finite positive"
+    Ppdc_sim.Scenario.enrich ?probe_every ~seed:0 scenario
+      (Ppdc_sim.Scenario.events_of_diurnal scenario)
   in
-  let r =
-    match
-      Ppdc_sim.Event_engine.run scenario ~policy ~trigger ~events ()
-    with
-    | r -> r
-    | exception Invalid_argument msg -> reject Invalid_params "%s" msg
-  in
+  let r = Ppdc_sim.Event_engine.run scenario ~policy ~trigger ~events () in
   Json.Obj
     [
-      ("policy", Json.Str (Ppdc_sim.Engine.policy_name policy));
+      ("policy", Json.Str (Solvers.label policy));
       ("trigger", Json.Str (Ppdc_sim.Event_engine.trigger_name trigger));
       ("mu", fnum mu);
       ("events", num (Array.length r.Ppdc_sim.Event_engine.records));
@@ -797,8 +659,8 @@ let dispatch t (req : Protocol.request) =
     match req.meth with
     | "health" -> health
     | "load_topology" -> load_topology
-    | "place" -> place
-    | "migrate" -> migrate
+    | "place" -> solve Solvers.Placement ~default:Solvers.Place.dp
+    | "migrate" -> solve Solvers.Migration ~default:Solvers.Migrate.mpareto
     | "rates_update" -> rates_update
     | "fail_links" -> fail_links
     | "simulate_events" -> simulate_events
@@ -848,7 +710,7 @@ let run_handler t (req : Protocol.request) =
   | exception Protocol.Bad_params msg ->
       note_error t;
       finish (Protocol.error_response ~id:req.id Invalid_params msg)
-  | exception Invalid_argument msg ->
+  | exception (Invalid_argument msg | Solvers.Invalid_params msg) ->
       note_error t;
       finish (Protocol.error_response ~id:req.id Invalid_params msg)
   | exception exn ->
@@ -861,9 +723,9 @@ let handle_line ?deadline t line =
   Atomic.incr t.total_requests;
   Obs.incr "rpc.requests";
   match Protocol.request_of_line line with
-  | Error (code, msg) ->
+  | Error (id, code, msg) ->
       note_error t;
-      Protocol.error_response ~id:Json.Null code msg
+      Protocol.error_response ~id code msg
   | Ok req -> (
       match deadline with
       | Some d when Float.compare (Clock.now ()) d > 0 ->

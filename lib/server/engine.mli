@@ -60,12 +60,12 @@
     response and leaves the engine serving — no handler exception
     escapes {!handle_line}.
 
-    Methods: [health], [load_topology], [place] (primal_dual / dp /
-    optimal / steering / greedy), [migrate] (mpareto / optimal / plan /
-    mcf / none), [rates_update], [fail_links], [simulate_events]
-    (replay a discrete-event day under a trigger policy, on copies —
-    the session state is untouched), [stats], [shutdown]. See
-    DESIGN.md for the full parameter/result schema. *)
+    Methods: [health], [load_topology], [place] and [migrate] (any
+    {!Ppdc_sim.Solvers} entry of the kind, its declared parameters
+    validated by the table), [rates_update], [fail_links],
+    [simulate_events] (replay a discrete-event day under a trigger
+    policy, on copies — the session state is untouched), [stats],
+    [shutdown]. See DESIGN.md for the full parameter/result schema. *)
 
 type t
 

@@ -28,18 +28,19 @@ type request = { id : Json.t; meth : string; params : Json.t }
 
 let request_of_line line =
   match Json.parse line with
-  | exception Failure msg -> Error (Parse_error, msg)
+  | exception Failure msg -> Error (Json.Null, Parse_error, msg)
   | Obj _ as json -> (
       let id = Option.value ~default:Json.Null (Json.member "id" json) in
+      let invalid msg = Error (id, Invalid_request, msg) in
       match Json.member "method" json with
       | Some (Str meth) -> (
           match Json.member "params" json with
           | None -> Ok { id; meth; params = Json.Obj [] }
           | Some (Obj _ as params) -> Ok { id; meth; params }
-          | Some _ -> Error (Invalid_request, "\"params\" must be an object"))
-      | Some _ -> Error (Invalid_request, "\"method\" must be a string")
-      | None -> Error (Invalid_request, "missing \"method\""))
-  | _ -> Error (Invalid_request, "request must be a JSON object")
+          | Some _ -> invalid "\"params\" must be an object")
+      | Some _ -> invalid "\"method\" must be a string"
+      | None -> invalid "missing \"method\"")
+  | _ -> Error (Json.Null, Invalid_request, "request must be a JSON object")
 
 let ok_response ~id result =
   Json.to_string

@@ -18,7 +18,8 @@
 
     When a request cannot be parsed at all (malformed JSON, not an
     object, oversized line) the error response carries [id: null] —
-    there is nothing trustworthy to echo. Malformed input never
+    there is nothing trustworthy to echo; an object whose [method] or
+    [params] is malformed still has its [id] echoed. Malformed input never
     terminates the connection or the server; the stream resynchronizes
     at the next newline. *)
 
@@ -51,11 +52,13 @@ type request = {
   params : Ppdc_prelude.Json.t;  (** [Obj []] when absent *)
 }
 
-val request_of_line : string -> (request, error_code * string) result
-(** Parse one request line. [Error] covers malformed JSON
-    ([Parse_error]) and structurally invalid requests
-    ([Invalid_request]); the caller answers those with
-    {!error_response} [~id:Null]. *)
+val request_of_line :
+  string -> (request, Ppdc_prelude.Json.t * error_code * string) result
+(** Parse one request line. [Error (id, code, message)] covers
+    malformed JSON ([Parse_error]) and structurally invalid requests
+    ([Invalid_request]); [id] is the request's own id when the line is
+    an object carrying one, [Null] otherwise, and the caller answers
+    with {!error_response} [~id]. *)
 
 val ok_response : id:Ppdc_prelude.Json.t -> Ppdc_prelude.Json.t -> string
 (** Render a success line (no trailing newline). *)

@@ -77,8 +77,6 @@ type event_record = {
 }
 
 type run = {
-  policy : Engine.policy;
-  trigger : trigger;
   initial_placement : Placement.t;
   final_placement : Placement.t;
   records : event_record array;
@@ -90,26 +88,33 @@ type run = {
   reconfigurations : int;
 }
 
+(* The rate changes an event carries, handed to [set flow rate]. *)
+let iter_rates set (kind : Events.kind) =
+  match kind with
+  | Events.Flow_arrival { flow; rate } -> set flow rate
+  | Events.Flow_departure { flow } -> set flow 0.0
+  | Events.Rate_update updates -> List.iter (fun (f, r) -> set f r) updates
+  | _ -> ()
+
+(* Apply [events]' rate changes to a copy of [rates], skipping flow ids
+   out of range (the replay itself rejects those when it gets there). *)
+let rates_after rates events =
+  let next = Array.copy rates in
+  let set f r = if f >= 0 && f < Array.length next then next.(f) <- r in
+  List.iter (fun (e : Events.event) -> iter_rates set e.kind) events;
+  next
+
 (* The rate vector the stream leaves in place after every event at the
    earliest timestamp — what an [Hour1] deployment gets to see. *)
 let first_rates_of events ~l =
+  let zero = Array.make l 0.0 in
   match Events.events events with
-  | [] -> Array.make l 0.0
+  | [] -> zero
   | first :: _ as all ->
-      let rates = Array.make l 0.0 in
-      List.iter
-        (fun (e : Events.event) ->
-          if Float.compare e.time first.time = 0 then
-            match e.kind with
-            | Events.Flow_arrival { flow; rate } ->
-                if flow < l then rates.(flow) <- rate
-            | Events.Flow_departure { flow } ->
-                if flow < l then rates.(flow) <- 0.0
-            | Events.Rate_update updates ->
-                List.iter (fun (f, r) -> if f < l then rates.(f) <- r) updates
-            | _ -> ())
-        all;
-      rates
+      rates_after zero
+        (List.filter
+           (fun (e : Events.event) -> Float.compare e.time first.time = 0)
+           all)
 
 let run ?(lookahead = 1.0) ?(migration_delay = 0.0) scenario ~policy ~trigger
     ~events () =
@@ -118,28 +123,32 @@ let run ?(lookahead = 1.0) ?(migration_delay = 0.0) scenario ~policy ~trigger
     invalid_arg "Event_engine.run: lookahead must be finite >= 0";
   if not (Float.is_finite migration_delay) || migration_delay < 0.0 then
     invalid_arg "Event_engine.run: migration_delay must be finite >= 0";
+  if Solvers.kind policy <> Solvers.Migration then
+    invalid_arg "Event_engine.run: policy must be a migration solver";
+  let params = Scenario.params scenario policy in
+  Solvers.validate policy params;
+  let wants_forecast = List.mem Solvers.Forecast (Solvers.inputs policy) in
   let problem0 = scenario.Scenario.problem in
   let l = Problem.num_flows problem0 in
   let num_nodes = Graph.num_nodes (Problem.graph problem0) in
   let horizon = Events.horizon events in
   let rates = Array.make l 0.0 in
   let initial_placement =
-    Engine.initial_placement_of scenario
-      ~first_rates:(first_rates_of events ~l)
+    Scenario.initial_placement scenario ~first_rates:(first_rates_of events ~l)
   in
   let state =
-    { Engine.placement = Array.copy initial_placement; problem = problem0 }
+    { Solvers.placement = Array.copy initial_placement; problem = problem0 }
   in
   let q : Events.event Pqueue.Stable.t = Pqueue.Stable.create () in
   Events.iter (fun e -> Pqueue.Stable.push q e.time e) events;
   (* [comm_rate] is the communication cost per unit of virtual time
      under the current (problem, rates, placement); each segment
      between consecutive events is charged [dt *. comm_rate] — the
-     generalization of the hour engine's "one hour of C_a". After a
+     generalization of the hourly "one hour of C_a". After a
      reconfiguration the policy's own comm evaluation becomes the
-     rate, exactly as [Engine.run_epochs] records it (the policies
-     differ from [Cost.comm_cost] in float association, so adopting
-     the step's value is what keeps hourly replay bit-identical). *)
+     rate (the policies differ from [Cost.comm_cost] in float
+     association, so adopting the step's value is what keeps hourly
+     replay bit-identical to a per-hour loop over the same steps). *)
   let comm_rate = ref (Cost.comm_cost state.problem ~rates state.placement) in
   let baseline = ref !comm_rate in
   let next_due = ref 0.0 in
@@ -158,10 +167,9 @@ let run ?(lookahead = 1.0) ?(migration_delay = 0.0) scenario ~policy ~trigger
     rates.(flow) <- r
   in
   let apply_kind = function
-    | Events.Flow_arrival { flow; rate } -> set_rate flow rate
-    | Events.Flow_departure { flow } -> set_rate flow 0.0
-    | Events.Rate_update updates ->
-        List.iter (fun (f, r) -> set_rate f r) updates
+    | (Events.Flow_arrival _ | Events.Flow_departure _ | Events.Rate_update _)
+      as kind ->
+        iter_rates set_rate kind
     | Events.Link_failure { u; v } ->
         if u >= num_nodes || v >= num_nodes then
           bad "Event_engine.run: link (%d, %d) out of range" u v;
@@ -180,25 +188,12 @@ let run ?(lookahead = 1.0) ?(migration_delay = 0.0) scenario ~policy ~trigger
   (* Perfect short-range forecast: the rate vector after every pending
      event within [t, t + lookahead], applied in replay order. An
      [of_trace] stream carries its all-zero vector *at* the horizon
-     precisely so this scan reproduces the hour engine's zero-forecast
-     end-of-day contract. *)
+     precisely so the last hour of a day sees a zero forecast. *)
   let forecast t =
-    let next = Array.copy rates in
-    List.iter
-      (fun ((_ : float), (e : Events.event)) ->
-        if Float.compare e.time (t +. lookahead) <= 0 then
-          match e.kind with
-          | Events.Flow_arrival { flow; rate } ->
-              if flow >= 0 && flow < l then next.(flow) <- rate
-          | Events.Flow_departure { flow } ->
-              if flow >= 0 && flow < l then next.(flow) <- 0.0
-          | Events.Rate_update updates ->
-              List.iter
-                (fun (f, r) -> if f >= 0 && f < l then next.(f) <- r)
-                updates
-          | _ -> ())
-      (Pqueue.Stable.to_sorted_list q);
-    next
+    Pqueue.Stable.to_sorted_list q
+    |> List.filter_map (fun ((_ : float), (e : Events.event)) ->
+           if Float.compare e.time (t +. lookahead) <= 0 then Some e else None)
+    |> rates_after rates
   in
   let continue = ref true in
   while !continue do
@@ -239,33 +234,33 @@ let run ?(lookahead = 1.0) ?(migration_delay = 0.0) scenario ~policy ~trigger
           if not fired then (0.0, 0)
           else begin
             incr reconfigs;
-            let next_rates =
-              match policy with
-              | Engine.Mpareto_lookahead -> forecast t
-              | _ -> rates
+            let params =
+              if wants_forecast then
+                { params with forecast = Some (forecast t) }
+              else params
             in
             let t0 = if Obs.enabled () then Obs.now () else 0.0 in
-            let comm, migration_cost, moved =
-              Engine.step scenario state ~policy ~rates ~next_rates
-            in
+            let o = Solvers.step policy params state ~rates in
             if Obs.enabled () then begin
-              Obs.observe_span "sim.reconfig" (Obs.now () -. t0);
+              let dt = Obs.now () -. t0 in
+              Obs.observe_span "sim.reconfig" dt;
+              Obs.observe_span ("sim.step." ^ Solvers.label policy) dt;
               Obs.incr ("sim.trigger." ^ trigger_name trigger)
             end;
-            comm_rate := comm;
-            baseline := comm;
+            comm_rate := o.comm_cost;
+            baseline := o.comm_cost;
             (match trigger with
             | Periodic span -> next_due := t +. span
             | Hysteresis _ -> armed := false
             | Threshold _ | On_event -> ());
-            if migration_delay > 0.0 && moved > 0 then begin
+            if migration_delay > 0.0 && o.moves > 0 then begin
               in_flight := true;
               Pqueue.Stable.push q
                 (t +. migration_delay)
                 { Events.time = t +. migration_delay;
                   kind = Events.Migration_complete }
             end;
-            (migration_cost, moved)
+            (o.migration_cost, o.moves)
           end
         in
         total_migration := !total_migration +. migration_cost;
@@ -292,10 +287,8 @@ let run ?(lookahead = 1.0) ?(migration_delay = 0.0) scenario ~policy ~trigger
   let final_comm = (horizon -. !t_now) *. !comm_rate in
   total_comm := !total_comm +. final_comm;
   {
-    policy;
-    trigger;
     initial_placement;
-    final_placement = Array.copy state.Engine.placement;
+    final_placement = Array.copy state.Solvers.placement;
     records = Array.of_list (List.rev !records);
     final_comm;
     total_comm = !total_comm;

@@ -1,30 +1,31 @@
-(** Discrete-event reconfiguration simulator.
+(** Discrete-event reconfiguration simulator — the one simulation
+    loop.
 
-    Generalizes {!Engine} from the hour grid to an arbitrary
-    {!Ppdc_traffic.Events} timeline: virtual time advances event by
-    event, communication cost accrues {e continuously} — each segment
-    between consecutive events is charged
-    [elapsed × C_a(current problem, rates, placement)], the limit of
-    which the per-hour charge is the unit-step special case — and
-    migration cost is charged per reconfiguration, exactly as
-    {!Engine.step} reports it. {e When} to reconfigure is a
+    Virtual time advances event by event over a
+    {!Ppdc_traffic.Events} timeline; communication cost accrues
+    {e continuously} — each segment between consecutive events is
+    charged [elapsed × C_a(current problem, rates, placement)], the
+    limit of which the per-hour charge is the unit-step special case —
+    and migration cost is charged per reconfiguration, exactly as
+    {!Solvers.step} reports it. {e When} to reconfigure is a
     first-class {!trigger} policy, decoupled from {e how} (the
-    {!Engine.policy} invoked when the trigger fires).
+    migration {!Solvers.t} entry invoked when the trigger fires). The
+    per-hour API ({!Engine.run_day}/[run_trace]) is this loop under
+    [Periodic 1.0] on an hourly stream.
 
     {b Determinism.} Events are drained from a
     {!Ppdc_prelude.Pqueue.Stable} keyed by [(time, insertion seq)], so
     equal-time events replay in stream order on every machine and at
     every domain count; every policy step is itself deterministic.
-    Replaying an [Events.of_trace] stream with [Periodic 1.0]
-    reproduces {!Engine.run_trace} (and hence [run_day] on diurnal
-    streams) bit-identically for all six policies — the regression in
-    [test/test_events.ml].
+    Replaying an [Events.of_trace] stream with [Periodic 1.0] is
+    bit-identical to a per-epoch loop of {!Solvers.step} for all six
+    migration entries — the differential in [test/test_events.ml].
 
     Observability: when {!Ppdc_prelude.Obs} is enabled, every
     processed event emits a [sim.event] event (kind, virtual time,
     whether the trigger fired, moves), each firing bumps the
     [sim.trigger.<name>] counter, and the invoked policy's decision
-    time lands in the [sim.reconfig] span. *)
+    time lands in the [sim.reconfig] and [sim.step.<label>] spans. *)
 
 type trigger =
   | Periodic of float
@@ -64,8 +65,6 @@ type event_record = {
 }
 
 type run = {
-  policy : Engine.policy;
-  trigger : trigger;
   initial_placement : Ppdc_core.Placement.t;
   final_placement : Ppdc_core.Placement.t;
   records : event_record array;  (** one per processed event *)
@@ -83,7 +82,7 @@ val run :
   ?lookahead:float ->
   ?migration_delay:float ->
   Scenario.t ->
-  policy:Engine.policy ->
+  policy:Solvers.t ->
   trigger:trigger ->
   events:Ppdc_traffic.Events.t ->
   unit ->
@@ -96,10 +95,14 @@ val run :
     the problem's cost matrix incrementally
     ({!Ppdc_topology.Cost_matrix.delete_edge} / [restore_edge]).
 
-    [lookahead] (default 1.0): the [Mpareto_lookahead] forecast is the
-    rate vector after every pending event within
-    [t, t + lookahead] — perfect short-range prediction, the
-    continuous generalization of the hour engine's next-hour vector.
+    The policy's parameters come from {!Scenario.params}, validated
+    once up front ({!Solvers.Invalid_params}).
+
+    [lookahead] (default 1.0): the forecast handed to entries that
+    read one ({!Solvers.Migrate.forecast}) is the rate vector after
+    every pending event within [t, t + lookahead] — perfect
+    short-range prediction; on an hourly stream, the next hour's
+    vector (all-zero past the last hour).
 
     [migration_delay] (default 0 = instantaneous): when positive, each
     reconfiguration that moved something holds the trigger {e in
@@ -107,7 +110,8 @@ val run :
     further firings are suppressed until it lands) — migrations take
     time, and a policy should not be re-invoked mid-move.
 
-    Raises [Invalid_argument] on negative/non-finite [lookahead] or
+    Raises [Invalid_argument] on a placement [policy], on
+    negative/non-finite [lookahead] or
     [migration_delay], an out-of-range flow id or link endpoint in the
     stream, a [Link_failure] naming an absent edge or one whose
     removal disconnects the fabric, or a [Link_repair] of a present

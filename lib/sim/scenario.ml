@@ -22,6 +22,25 @@ let make ?(diurnal = Ppdc_traffic.Diurnal.default) ?(mu = 1e4) ?mu_vm
     initial;
   }
 
+let params t policy =
+  let mu = if Solvers.relocates policy = Solvers.Vms then t.mu_vm else t.mu in
+  { Solvers.mu; budget = Some t.opt_budget; pair_limit = t.pair_limit;
+    forecast = None }
+
+let initial_placement t ~first_rates =
+  match t.initial with
+  | Uninformed seed ->
+      (* Deployment happens before traffic exists (Eq. 9 gives hour 0 a
+         zero rate vector): all placements cost the same, so the
+         operator's choice is arbitrary. *)
+      Ppdc_core.Placement.random
+        ~rng:(Ppdc_prelude.Rng.create (seed + 0x5eed))
+        t.problem
+  | Hour1 ->
+      (Solvers.run Solvers.Place.dp t.problem ~rates:first_rates
+         { Solvers.default_params with pair_limit = t.pair_limit })
+        .placement
+
 module Events = Ppdc_traffic.Events
 
 let events_of_diurnal t =
@@ -57,3 +76,14 @@ let failure_episode ~rng ~at ~duration ~fraction t =
       failed
   in
   Events.make ~horizon:(at +. duration) (failures @ repairs)
+
+let enrich ?probe_every ?failure_at ~seed t base =
+  let probes every = Events.probes ~every ~horizon:(Events.horizon base) in
+  let failures at =
+    failure_episode
+      ~rng:(Ppdc_prelude.Rng.create (seed + 0xfa11))
+      ~at ~duration:1.5 ~fraction:0.05 t
+  in
+  List.fold_left Events.merge base
+    (List.filter_map Fun.id
+       [ Option.map probes probe_every; Option.map failures failure_at ])

@@ -45,6 +45,17 @@ val make :
     [mu_vm = mu], no pair limit, 2-million-node optimal budget,
     [Uninformed 0] deployment. *)
 
+val params : t -> Solvers.t -> Solvers.params
+(** The parameters the scenario hands a migration entry: [mu_vm] as
+    the coefficient of the [Vms] entries and [mu] otherwise, the
+    [opt_budget] and the [pair_limit]; no forecast (the simulator
+    supplies it per step). *)
+
+val initial_placement : t -> first_rates:float array -> Ppdc_core.Placement.t
+(** The day-0 placement per {!initial}: seeded-arbitrary for
+    [Uninformed], Algo. 3 on [first_rates] (under the scenario's
+    [pair_limit]) for [Hour1]. *)
+
 (** {1 Event-stream constructors}
 
     The graph-aware bridges into the discrete-event simulator
@@ -54,7 +65,7 @@ val make :
 val events_of_diurnal : t -> Ppdc_traffic.Events.t
 (** The scenario's diurnal day as an hourly event stream —
     [Events.of_diurnal] of its own model and flows. Replaying it with
-    [Periodic 1.0] is bit-identical to {!Engine.run_day}. *)
+    [Periodic 1.0] is what {!Engine.run_day} does. *)
 
 val failure_episode :
   rng:Ppdc_prelude.Rng.t ->
@@ -73,3 +84,11 @@ val failure_episode :
     otherwise the repairs sit exactly at the horizon and are never
     processed. Raises [Invalid_argument] on a negative/non-finite
     [at], non-positive [duration], or [fraction] outside [0, 1]. *)
+
+val enrich :
+  ?probe_every:float -> ?failure_at:float -> seed:int -> t ->
+  Ppdc_traffic.Events.t -> Ppdc_traffic.Events.t
+(** [enrich t base] merges probe ticks every [probe_every] hours into
+    [base], then a {!failure_episode} at [failure_at] failing 5% of the
+    switch-switch links for 1.5 hours (seeded by [seed]): the composite
+    day of [eta_sweep], the events bench and [ppdc simulate --events]. *)

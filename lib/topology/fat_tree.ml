@@ -62,6 +62,17 @@ let host_index t host =
     invalid_arg (Printf.sprintf "Fat_tree: node %d is not a host" host);
   idx
 
+(* Fig. 10's fabric: link delays uniform with mean 1.5 and variance 0.5
+   (half-width sqrt(3 * 0.5)), drawn from a split of [rng]. *)
+let build_with_delays ~rng k =
+  let half_width = sqrt 1.5 in
+  let weight_rng = Ppdc_prelude.Rng.split rng in
+  build
+    ~weight:(fun _ _ ->
+      Ppdc_prelude.Rng.uniform weight_rng ~lo:(1.5 -. half_width)
+        ~hi:(1.5 +. half_width))
+    k
+
 let rack_of_host t host = host_index t host / (t.k / 2)
 
 let edge_switch_of_host t host = t.edge.(rack_of_host t host)

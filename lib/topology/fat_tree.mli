@@ -24,6 +24,11 @@ val build : ?weight:(int -> int -> float) -> int -> t
     weight (default: constant 1.0). Raises [Invalid_argument] if [k] is
     odd or < 2. *)
 
+val build_with_delays : rng:Ppdc_prelude.Rng.t -> int -> t
+(** [build] with Fig. 10's link delays: uniform with mean 1.5 and
+    variance 0.5, drawn from [Rng.split rng] (so [rng] itself advances
+    by exactly one split). *)
+
 val pod_of_host : t -> int -> int
 (** Pod index (0-based) of a host. *)
 

@@ -1,5 +1,5 @@
-(* Discrete-event simulator tests: the Event_engine ↔ hour-engine
-   bit-identity regression (the tentpole's acceptance criterion),
+(* Discrete-event simulator tests: the Event_engine ↔ hour-loop
+   bit-identity differential,
    trigger-policy semantics, event-stream constructors, and the
    elapsed-time cost accounting. *)
 
@@ -13,6 +13,7 @@ module Rng = Ppdc_prelude.Rng
 module Parallel = Ppdc_prelude.Parallel
 module Scenario = Ppdc_sim.Scenario
 module Engine = Ppdc_sim.Engine
+module Solvers = Ppdc_sim.Solvers
 module Event_engine = Ppdc_sim.Event_engine
 open Ppdc_core
 
@@ -31,70 +32,139 @@ let problem ?(l = 20) ?(n = 4) ~seed () =
 let scenario ?l ?n ?(mu = 1e3) ~seed () =
   Scenario.make ~mu (problem ?l ?n ~seed ())
 
-let all_policies =
-  Engine.[ Mpareto; Optimal; Mpareto_lookahead; Plan; Mcf; No_migration ]
+let all_policies = Solvers.all Solvers.Migration
 
 let bits = Int64.bits_of_float
 
 let check_bits msg a b =
   Alcotest.(check int64) msg (bits a) (bits b)
 
-(* --- hour-engine equivalence --------------------------------------------- *)
+(* --- the hour-loop reference ----------------------------------------------- *)
 
-(* The mapping between the two records: the hour engine charges hour
+(* The reference of the differential: a plain per-epoch loop that
+   steps the policy once per rate epoch through the shared
+   [Solvers.step], handing the forecast entry the next epoch's vector
+   (the zero vector one epoch past the end — the horizon contract of
+   engine.mli). *)
+type reference_hour = {
+  comm : float;
+  migration : float;
+  moves : int;
+}
+
+let reference_day sc ~policy =
+  let diurnal = sc.Scenario.diurnal in
+  let flows0 = Problem.flows sc.Scenario.problem in
+  let rates_of ~flows ~epoch = Diurnal.rates_at diurnal ~flows ~hour:(epoch + 1) in
+  let initial =
+    Scenario.initial_placement sc ~first_rates:(rates_of ~flows:flows0 ~epoch:0)
+  in
+  let state =
+    { Solvers.placement = Array.copy initial; problem = sc.Scenario.problem }
+  in
+  let params = Scenario.params sc policy in
+  let epochs = diurnal.Diurnal.hours in
+  let hours =
+    Array.init epochs (fun i ->
+        let flows = Problem.flows state.problem in
+        let rates = rates_of ~flows ~epoch:i in
+        let next_rates =
+          if i + 1 >= epochs then Array.make (Array.length flows) 0.0
+          else rates_of ~flows ~epoch:(i + 1)
+        in
+        let o =
+          Solvers.step policy { params with forecast = Some next_rates } state
+            ~rates
+        in
+        { comm = o.comm_cost; migration = o.migration_cost; moves = o.moves })
+  in
+  (initial, hours)
+
+(* --- hour-loop equivalence --------------------------------------------------- *)
+
+(* The mapping between the two records: the reference charges hour
    [i]'s comm *at* epoch [i], the event engine charges the segment
    [i, i+1) when the *next* event (or the horizon) closes it. So hour
    [i] (0-based) pairs record [i]'s migration with record [i+1]'s comm
-   charge (the tail segment for the last hour). *)
+   charge (the tail segment for the last hour). [Engine.run_day] is
+   that fold; it must agree with the reference too. *)
 let check_equivalent ~msg sc policy =
+  let initial, reference = reference_day sc ~policy in
   let day = Engine.run_day sc ~policy in
   let stream = Scenario.events_of_diurnal sc in
   let replay =
     Event_engine.run sc ~policy ~trigger:(Event_engine.Periodic 1.0)
       ~events:stream ()
   in
-  let n = Array.length day.Engine.hours in
-  let name fmt = Printf.sprintf "%s %s: %s" msg (Engine.policy_name policy) fmt in
+  let n = Array.length reference in
+  let name fmt = Printf.sprintf "%s %s: %s" msg (Solvers.label policy) fmt in
   Alcotest.(check int) (name "one record per hour") n
     (Array.length replay.Event_engine.records);
   Alcotest.(check int) (name "fires every hour") n
     replay.Event_engine.reconfigurations;
   Alcotest.(check (array int))
     (name "same initial placement")
-    day.Engine.initial_placement replay.Event_engine.initial_placement;
-  let total = ref 0.0 in
+    initial replay.Event_engine.initial_placement;
+  Alcotest.(check (array int))
+    (name "run_day keeps the initial placement")
+    initial day.Engine.initial_placement;
+  let total = ref 0.0 and moves = ref 0 in
   Array.iteri
-    (fun i (h : Engine.hour_record) ->
+    (fun i h ->
+      let hour = i + 1 in
       let r = replay.Event_engine.records.(i) in
       let comm =
         if i + 1 < n then replay.Event_engine.records.(i + 1).comm_charge
         else replay.Event_engine.final_comm
       in
-      check_bits (name (Printf.sprintf "hour %d comm" h.hour)) h.comm_cost comm;
+      check_bits (name (Printf.sprintf "hour %d comm" hour)) h.comm comm;
       check_bits
-        (name (Printf.sprintf "hour %d migration" h.hour))
-        h.migration_cost r.migration_cost;
+        (name (Printf.sprintf "hour %d migration" hour))
+        h.migration r.migration_cost;
       Alcotest.(check int)
-        (name (Printf.sprintf "hour %d moves" h.hour))
-        h.migrations r.moved;
+        (name (Printf.sprintf "hour %d moves" hour))
+        h.moves r.moved;
       Alcotest.(check bool) (name "every hour fires") true r.fired;
-      total := !total +. (comm +. h.migration_cost))
-    day.Engine.hours;
-  check_bits (name "day total reassembles") day.Engine.total_cost !total;
-  Alcotest.(check int) (name "total moves") day.Engine.total_migrations
-    replay.Event_engine.total_moves
+      let d = day.Engine.hours.(i) in
+      check_bits (name (Printf.sprintf "run_day hour %d comm" hour)) h.comm
+        d.Engine.comm_cost;
+      check_bits
+        (name (Printf.sprintf "run_day hour %d migration" hour))
+        h.migration d.Engine.migration_cost;
+      Alcotest.(check int)
+        (name (Printf.sprintf "run_day hour %d moves" hour))
+        h.moves d.Engine.migrations;
+      total := !total +. (h.comm +. h.migration);
+      moves := !moves + h.moves)
+    reference;
+  check_bits (name "day total reassembles") !total day.Engine.total_cost;
+  Alcotest.(check int) (name "total moves") !moves
+    replay.Event_engine.total_moves;
+  Alcotest.(check int) (name "run_day total moves") !moves
+    day.Engine.total_migrations
 
 let test_periodic_hourly_equals_run_day () =
   let sc = scenario ~seed:4 () in
   List.iter (check_equivalent ~msg:"hourly" sc) all_policies
 
+(* Beyond the defaults: the hour-1-aware deployment and an Algo. 3
+   pair cap, both of which the ablations run. *)
 let test_equivalence_qcheck () =
   QCheck.Test.make ~count:6 ~name:"Periodic 1h replay = run_day (all policies)"
     QCheck.(
-      quad (int_range 1 1000) (int_range 5 14) (int_range 2 4) (int_range 0 2))
-    (fun (seed, l, n, mu_idx) ->
+      pair
+        (quad (int_range 1 1000) (int_range 5 14) (int_range 2 4)
+           (int_range 0 2))
+        (pair bool (int_range 1 3)))
+    (fun ((seed, l, n, mu_idx), (hour1, cap)) ->
       let mu = [| 1e2; 1e3; 1e4 |].(mu_idx) in
-      let sc = scenario ~l ~n ~mu ~seed () in
+      let initial =
+        if hour1 then Scenario.Hour1 else Scenario.Uninformed seed
+      in
+      let pair_limit = if cap = 1 then None else Some cap in
+      let sc =
+        Scenario.make ~mu ~initial ?pair_limit (problem ~l ~n ~seed ())
+      in
       List.iter (check_equivalent ~msg:"qcheck" sc) all_policies;
       true)
   |> QCheck_alcotest.to_alcotest
@@ -106,7 +176,7 @@ let test_equivalence_across_domains () =
   let sc = scenario ~seed:9 () in
   let stream = Scenario.events_of_diurnal sc in
   let run () =
-    Event_engine.run sc ~policy:Engine.Mpareto
+    Event_engine.run sc ~policy:Solvers.Migrate.mpareto
       ~trigger:(Event_engine.Periodic 1.0) ~events:stream ()
   in
   let a = with_domains 1 run and b = with_domains 4 run in
@@ -131,7 +201,7 @@ let test_on_event_fires_everywhere () =
   let sc = scenario ~seed:2 () in
   let stream = constant_stream sc ~epochs:5 ~scale:1.0 in
   let run =
-    Event_engine.run sc ~policy:Engine.Mpareto ~trigger:Event_engine.On_event
+    Event_engine.run sc ~policy:Solvers.Migrate.mpareto ~trigger:Event_engine.On_event
       ~events:stream ()
   in
   Alcotest.(check int) "fires at every processed event" 5
@@ -141,7 +211,7 @@ let test_periodic_span () =
   let sc = scenario ~seed:2 () in
   let stream = constant_stream sc ~epochs:6 ~scale:1.0 in
   let run =
-    Event_engine.run sc ~policy:Engine.Mpareto
+    Event_engine.run sc ~policy:Solvers.Migrate.mpareto
       ~trigger:(Event_engine.Periodic 2.0) ~events:stream ()
   in
   (* Events at t = 0..5; due at 0, then 2, 4, ... → fires at 0, 2, 4. *)
@@ -158,7 +228,7 @@ let test_threshold_fires_once_on_constant_load () =
   let sc = scenario ~seed:3 () in
   let stream = constant_stream sc ~epochs:6 ~scale:1.0 in
   let run =
-    Event_engine.run sc ~policy:Engine.Mpareto
+    Event_engine.run sc ~policy:Solvers.Migrate.mpareto
       ~trigger:(Event_engine.Threshold 1.2) ~events:stream ()
   in
   (* The pre-traffic baseline is a zero cost rate, so the first traffic
@@ -181,7 +251,7 @@ let spike_stream sc =
 let test_hysteresis_disarms_and_rearms () =
   let sc = scenario ~seed:3 () in
   let run =
-    Event_engine.run sc ~policy:Engine.Mpareto
+    Event_engine.run sc ~policy:Solvers.Migrate.mpareto
       ~trigger:(Event_engine.Hysteresis { up = 1.5; down = 1.1 })
       ~events:(spike_stream sc) ()
   in
@@ -195,7 +265,7 @@ let test_hysteresis_disarms_and_rearms () =
     [ true; false; false; true ]
     fired;
   let threshold =
-    Event_engine.run sc ~policy:Engine.Mpareto
+    Event_engine.run sc ~policy:Solvers.Migrate.mpareto
       ~trigger:(Event_engine.Threshold 1.5) ~events:(spike_stream sc) ()
   in
   (* Without the disarm, the same spike at t1 fires too. *)
@@ -206,7 +276,7 @@ let test_migration_delay_suppresses_triggers () =
   let sc = scenario ~seed:5 () in
   let stream = Scenario.events_of_diurnal sc in
   let run =
-    Event_engine.run ~migration_delay:2.5 sc ~policy:Engine.Mpareto
+    Event_engine.run ~migration_delay:2.5 sc ~policy:Solvers.Migrate.mpareto
       ~trigger:Event_engine.On_event ~events:stream ()
   in
   (* While a migration is in flight no trigger may fire: consecutive
@@ -240,7 +310,7 @@ let test_elapsed_time_charging () =
       ]
   in
   let run =
-    Event_engine.run sc ~policy:Engine.No_migration
+    Event_engine.run sc ~policy:Solvers.Migrate.none
       ~trigger:Event_engine.On_event ~events:stream ()
   in
   let rates = Array.make l 0.0 in
@@ -265,7 +335,7 @@ let test_failure_episode_replay () =
     (Events.length episode > 0);
   let stream = Events.merge (Scenario.events_of_diurnal sc) episode in
   let go () =
-    Event_engine.run sc ~policy:Engine.Mpareto
+    Event_engine.run sc ~policy:Solvers.Migrate.mpareto
       ~trigger:(Event_engine.Periodic 1.0) ~events:stream ()
   in
   let run = go () and again = go () in
@@ -282,12 +352,12 @@ let test_failure_episode_replay () =
   (* Degraded fabric can only cost more: compare against the
      episode-free day under the same trigger. *)
   let clean =
-    Event_engine.run sc ~policy:Engine.No_migration
+    Event_engine.run sc ~policy:Solvers.Migrate.none
       ~trigger:(Event_engine.Periodic 1.0)
       ~events:(Scenario.events_of_diurnal sc) ()
   in
   let degraded =
-    Event_engine.run sc ~policy:Engine.No_migration
+    Event_engine.run sc ~policy:Solvers.Migrate.none
       ~trigger:(Event_engine.Periodic 1.0) ~events:stream ()
   in
   Alcotest.(check bool) "failures never cheapen a frozen placement" true
@@ -355,7 +425,7 @@ let test_poisson_stream () =
     (Events.events a);
   (* A poisson stream must drive the engine end to end. *)
   let run =
-    Event_engine.run sc ~policy:Engine.Mpareto
+    Event_engine.run sc ~policy:Solvers.Migrate.mpareto
       ~trigger:(Event_engine.Threshold 1.3) ~events:a ()
   in
   Alcotest.(check bool) "engine consumed the stream" true
@@ -418,7 +488,7 @@ let test_stream_validation () =
   reject "nan horizon" (fun () -> Events.make ~horizon:Float.nan []);
   let sc = scenario ~seed:1 () in
   reject "out-of-range flow id at run time" (fun () ->
-      Event_engine.run sc ~policy:Engine.No_migration
+      Event_engine.run sc ~policy:Solvers.Migrate.none
         ~trigger:Event_engine.On_event
         ~events:
           (Events.make ~horizon:1.0
@@ -439,7 +509,7 @@ let test_metrics_instrumentation () =
     (fun () ->
       let sc = scenario ~seed:2 () in
       let run =
-        Event_engine.run sc ~policy:Engine.Mpareto
+        Event_engine.run sc ~policy:Solvers.Migrate.mpareto
           ~trigger:(Event_engine.Periodic 2.0)
           ~events:(Scenario.events_of_diurnal sc) ()
       in

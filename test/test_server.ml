@@ -288,6 +288,80 @@ let test_engine_invalid_params () =
           {|{"id":3,"method":"load_topology","params":{"session":"t","k":3}}|}));
   ignore (expect_ok (Engine.handle_line e {|{"id":4,"method":"health"}|}))
 
+let error_message line =
+  match Json.member "error" (Json.parse line) with
+  | Some err -> (
+      match Json.member "message" err with
+      | Some (Json.Str m) -> m
+      | _ -> Alcotest.failf "error without message: %s" line)
+  | None -> Alcotest.failf "expected error response, got: %s" line
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+(* Regression: a request object with a malformed "params" or "method"
+   used to be answered with "id":null although its id had parsed. *)
+let test_engine_echoes_parsed_id () =
+  let e = eng () in
+  let check_id msg line id =
+    let r = Engine.handle_line e line in
+    Alcotest.(check string) (msg ^ ": code") "invalid_request" (expect_error r);
+    Alcotest.(check string) (msg ^ ": id echoed") (Json.to_string id)
+      (Json.to_string (response_id r))
+  in
+  check_id "params not an object" {|{"id":7,"method":"place","params":[]}|}
+    (Json.Num 7.0);
+  check_id "method not a string" {|{"id":"m","method":5}|} (Json.Str "m");
+  check_id "method missing" {|{"id":[1,2]}|}
+    (Json.List [ Json.Num 1.0; Json.Num 2.0 ]);
+  Alcotest.(check bool) "no id, null" true
+    (Json.equal Json.Null (response_id (Engine.handle_line e {|{"method":5}|})))
+
+(* Regression: solver parameters are validated where the solver table
+   declares them, with a message naming the parameter — no more
+   ok:true answers carrying null costs (mu = 1e400 parses as
+   infinity), internal solver texts, or silently accepted budgets. *)
+let test_engine_solver_params_validated () =
+  let e = eng () in
+  ignore (load e ());
+  let rejects ~param request =
+    let r = Engine.handle_line e request in
+    Alcotest.(check string) (request ^ ": code") "invalid_params"
+      (expect_error r);
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: message names %S (%s)" request param
+         (error_message r))
+      true
+      (contains (error_message r) (Printf.sprintf "%S" param))
+  in
+  rejects ~param:"pair_limit"
+    {|{"id":1,"method":"place","params":{"session":"s","algo":"dp","pair_limit":0}}|};
+  rejects ~param:"pair_limit"
+    {|{"id":2,"method":"place","params":{"session":"s","algo":"dp","pair_limit":1}}|};
+  rejects ~param:"budget"
+    {|{"id":3,"method":"place","params":{"session":"s","algo":"optimal","budget":-1}}|};
+  ignore
+    (expect_ok
+       (Engine.handle_line e
+          {|{"id":4,"method":"place","params":{"session":"s","algo":"dp"}}|}));
+  rejects ~param:"mu"
+    {|{"id":5,"method":"migrate","params":{"session":"s","algo":"mpareto","mu":1e400}}|};
+  rejects ~param:"mu"
+    {|{"id":6,"method":"migrate","params":{"session":"s","algo":"mpareto","mu":-5}}|};
+  rejects ~param:"mu"
+    {|{"id":7,"method":"migrate","params":{"session":"s","algo":"plan","mu":-5}}|};
+  rejects ~param:"budget"
+    {|{"id":8,"method":"migrate","params":{"session":"s","algo":"optimal","budget":0}}|};
+  rejects ~param:"mu"
+    {|{"id":9,"method":"simulate_events","params":{"session":"s","mu":-1}}|};
+  (* In-domain values still solve. *)
+  ignore
+    (expect_ok
+       (Engine.handle_line e
+          {|{"id":10,"method":"migrate","params":{"session":"s","algo":"optimal","mu":0,"budget":1}}|}))
+
 let test_engine_shutdown () =
   let e = eng () in
   ignore (expect_ok (Engine.handle_line e {|{"id":1,"method":"shutdown"}|}));
@@ -569,6 +643,184 @@ let test_stdio_protocol () =
   | Unix.WSIGNALED s | Unix.WSTOPPED s ->
       Alcotest.failf "server killed by signal %d" s
 
+(* --- every solver-table entry through both surfaces ------------------------ *)
+
+module Solvers = Ppdc_sim.Solvers
+
+(* The names an unknown-name error lists, in order: the RPC form
+   "(expected one of a, b, c)" and cmdliner's "expected one of 'a', 'b'
+   or 'c'". *)
+let listed_names msg =
+  let from = String.index msg '(' + String.length "(expected one of " in
+  String.sub msg from (String.rindex msg ')' - from)
+  |> String.split_on_char ','
+  |> List.map String.trim
+
+let quoted_names msg =
+  let rec find word i =
+    if String.sub msg i (String.length word) = word then i else find word (i + 1)
+  in
+  let from = find "expected" 0 in
+  String.sub msg from (find "Usage:" from - from)
+  |> String.split_on_char '\''
+  |> List.filteri (fun i _ -> i mod 2 = 1)
+
+let finite_num msg result key =
+  match Json.member key result with
+  | Some (Json.Num x) when Float.is_finite x -> x
+  | _ -> Alcotest.failf "%s: %s is not a finite number" msg key
+
+let check_distinct msg ~n switches =
+  Alcotest.(check int) (msg ^ ": n switches") n (List.length switches);
+  Alcotest.(check int)
+    (msg ^ ": distinct")
+    n
+    (List.length (List.sort_uniq compare switches))
+
+let rpc_placement ?(key = "placement") msg result =
+  match Json.member key result with
+  | Some (Json.List xs) ->
+      List.map
+        (function
+          | Json.Num x -> int_of_float x | _ -> Alcotest.failf "%s: placement" msg)
+        xs
+  | _ -> Alcotest.failf "%s: no placement" msg
+
+let test_table_over_rpc () =
+  let e = eng () in
+  let n = 3 in
+  ignore (load e ~n ());
+  let call meth params =
+    Engine.handle_line e
+      (Printf.sprintf {|{"id":1,"method":%S,"params":{"session":"s",%s}}|} meth
+         params)
+  in
+  List.iter
+    (fun entry ->
+      let name = Solvers.name entry in
+      let r = expect_ok (call "place" (Printf.sprintf {|"algo":%S|} name)) in
+      ignore (finite_num name r "cost");
+      check_distinct name ~n (rpc_placement name r))
+    (Solvers.all Solvers.Placement);
+  List.iter
+    (fun entry ->
+      let name = Solvers.name entry in
+      let line = call "migrate" (Printf.sprintf {|"algo":%S,"mu":100|} name) in
+      if List.mem Solvers.Forecast (Solvers.inputs entry) then begin
+        Alcotest.(check string) (name ^ " needs a forecast") "invalid_params"
+          (expect_error line);
+        Alcotest.(check bool) (name ^ ": points to simulate_events") true
+          (contains (error_message line) "simulate_events")
+      end
+      else begin
+        let r = expect_ok line in
+        List.iter
+          (fun key -> ignore (finite_num name r key))
+          [ "comm_cost"; "migration_cost"; "total_cost" ];
+        if Solvers.relocates entry = Solvers.Vnfs then
+          check_distinct name ~n (rpc_placement name r)
+      end;
+      let sim =
+        expect_ok
+          (call "simulate_events" (Printf.sprintf {|"policy":%S,"mu":100|} name))
+      in
+      ignore (finite_num name sim "total_cost");
+      check_distinct (name ^ " day") ~n
+        (rpc_placement ~key:"final_placement" name sim))
+    (Solvers.all Solvers.Migration);
+  let unknown meth key kind =
+    let msg = error_message (call meth (Printf.sprintf {|%S:"bogus"|} key)) in
+    Alcotest.(check (list string))
+      (Printf.sprintf "%s %s lists the table" meth key)
+      (Solvers.names kind) (listed_names msg)
+  in
+  unknown "place" "algo" Solvers.Placement;
+  unknown "migrate" "algo" Solvers.Migration;
+  unknown "simulate_events" "policy" Solvers.Migration
+
+(* Run the CLI; return its exit code, stdout and stderr. *)
+let run_cli args =
+  let bin = find_binary () in
+  let out, inp, err =
+    Unix.open_process_args_full bin (Array.of_list (bin :: args))
+      (Unix.environment ())
+  in
+  close_out inp;
+  let stdout = In_channel.input_all out in
+  let stderr = In_channel.input_all err in
+  match Unix.close_process_full (out, inp, err) with
+  | Unix.WEXITED code -> (code, stdout, stderr)
+  | _ -> Alcotest.failf "ppdc %s was killed" (String.concat " " args)
+
+(* Every "= <number>" in a CLI answer must be finite. *)
+let check_cli_numbers msg out =
+  String.split_on_char '=' out
+  |> List.tl
+  |> List.iter (fun part ->
+         let token = List.hd (String.split_on_char ',' (String.trim part)) in
+         let token = List.hd (String.split_on_char '\n' token) in
+         match float_of_string_opt (String.trim token) with
+         | Some x when Float.is_finite x -> ()
+         | _ -> Alcotest.failf "%s: %S is not a finite number" msg token)
+
+(* "[f1@s1 f2@s4 f3@s0]" -> [1; 4; 0] *)
+let cli_placement msg out =
+  let at = String.index out '@' in
+  let open_ = String.rindex_from out at '[' in
+  let close = String.index_from out at ']' in
+  String.sub out (open_ + 1) (close - open_ - 1)
+  |> String.split_on_char ' '
+  |> List.map (fun slot ->
+         match String.split_on_char '@' slot with
+         | [ _; sw ] -> int_of_string (String.sub sw 1 (String.length sw - 1))
+         | _ -> Alcotest.failf "%s: bad placement slot %S" msg slot)
+
+let test_table_over_cli () =
+  let n = 3 in
+  let inst = [ "-j"; "1"; "-k"; "4"; "-l"; "8"; "-n"; string_of_int n ] in
+  List.iter
+    (fun entry ->
+      let name = Solvers.name entry in
+      let code, out, err = run_cli (("place" :: inst) @ [ "--algo"; name ]) in
+      Alcotest.(check int) (name ^ ": exit 0 " ^ err) 0 code;
+      check_cli_numbers name out;
+      check_distinct name ~n (cli_placement name out))
+    (Solvers.all Solvers.Placement);
+  List.iter
+    (fun entry ->
+      let name = Solvers.name entry in
+      let code, out, err =
+        run_cli (("migrate" :: inst) @ [ "--mu"; "100"; "--algo"; name ])
+      in
+      if List.mem Solvers.Forecast (Solvers.inputs entry) then begin
+        Alcotest.(check int) (name ^ ": rejected") 2 code;
+        Alcotest.(check bool) (name ^ ": points to simulate") true
+          (contains err "simulate")
+      end
+      else begin
+        Alcotest.(check int) (name ^ ": exit 0 " ^ err) 0 code;
+        check_cli_numbers name out;
+        check_distinct name ~n (cli_placement name out)
+      end;
+      let code, out, err =
+        run_cli (("simulate" :: inst) @ [ "--mu"; "100"; "--policy"; name ])
+      in
+      Alcotest.(check int) (name ^ " day: exit 0 " ^ err) 0 code;
+      Alcotest.(check bool) (name ^ " day total") true (contains out "day total"))
+    (Solvers.all Solvers.Migration);
+  List.iter
+    (fun (cmd, flag, kind) ->
+      let code, _, err = run_cli ((cmd :: inst) @ [ flag; "bogus" ]) in
+      Alcotest.(check bool) (cmd ^ ": bogus rejected") true (code <> 0);
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s %s lists the table" cmd flag)
+        (Solvers.names kind) (quoted_names err))
+    [
+      ("place", "--algo", Solvers.Placement);
+      ("migrate", "--algo", Solvers.Migration);
+      ("simulate", "--policy", Solvers.Migration);
+    ]
+
 let () =
   Alcotest.run "ppdc_server"
     [
@@ -590,6 +842,10 @@ let () =
             test_engine_failure_log_ordering;
           Alcotest.test_case "invalid params are contained" `Quick
             test_engine_invalid_params;
+          Alcotest.test_case "malformed requests echo the parsed id" `Quick
+            test_engine_echoes_parsed_id;
+          Alcotest.test_case "solver parameters validated where declared"
+            `Quick test_engine_solver_params_validated;
           Alcotest.test_case "shutdown" `Quick test_engine_shutdown;
           Alcotest.test_case "expired deadline is admission control" `Quick
             test_engine_deadline;
@@ -607,5 +863,12 @@ let () =
         [
           Alcotest.test_case "full protocol over --stdio" `Quick
             test_stdio_protocol;
+        ] );
+      ( "solvers",
+        [
+          Alcotest.test_case "every table entry over RPC" `Quick
+            test_table_over_rpc;
+          Alcotest.test_case "every table entry over the CLI" `Quick
+            test_table_over_cli;
         ] );
     ]

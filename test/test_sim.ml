@@ -5,6 +5,7 @@ module Diurnal = Ppdc_traffic.Diurnal
 module Rng = Ppdc_prelude.Rng
 module Scenario = Ppdc_sim.Scenario
 module Engine = Ppdc_sim.Engine
+module Solvers = Ppdc_sim.Solvers
 open Ppdc_core
 
 let problem ~l ~n ~seed =
@@ -18,7 +19,7 @@ let scenario ?initial ?(mu = 1e3) ~seed () =
   Scenario.make ~mu ?initial (problem ~l:20 ~n:4 ~seed)
 
 let test_day_structure () =
-  let run = Engine.run_day (scenario ~seed:1 ()) ~policy:Engine.Mpareto in
+  let run = Engine.run_day (scenario ~seed:1 ()) ~policy:Solvers.Migrate.mpareto in
   Alcotest.(check int) "one record per hour" Diurnal.default.hours
     (Array.length run.hours);
   Array.iteri
@@ -38,13 +39,13 @@ let test_day_structure () =
   Alcotest.(check (float 1e-6)) "day total is the sum" sum run.total_cost
 
 let test_day_deterministic () =
-  let go () = Engine.run_day (scenario ~seed:3 ()) ~policy:Engine.Mpareto in
+  let go () = Engine.run_day (scenario ~seed:3 ()) ~policy:Solvers.Migrate.mpareto in
   let a = go () and b = go () in
   Alcotest.(check (float 0.0)) "same total" a.total_cost b.total_cost;
   Alcotest.(check int) "same migrations" a.total_migrations b.total_migrations
 
 let test_no_migration_policy_never_migrates () =
-  let run = Engine.run_day (scenario ~seed:2 ()) ~policy:Engine.No_migration in
+  let run = Engine.run_day (scenario ~seed:2 ()) ~policy:Solvers.Migrate.none in
   Alcotest.(check int) "zero moves" 0 run.total_migrations;
   Array.iter
     (fun (h : Engine.hour_record) ->
@@ -53,9 +54,9 @@ let test_no_migration_policy_never_migrates () =
 
 let test_mpareto_beats_no_migration () =
   for seed = 1 to 4 do
-    let mp = Engine.run_day (scenario ~seed ()) ~policy:Engine.Mpareto in
+    let mp = Engine.run_day (scenario ~seed ()) ~policy:Solvers.Migrate.mpareto in
     let stay =
-      Engine.run_day (scenario ~seed ()) ~policy:Engine.No_migration
+      Engine.run_day (scenario ~seed ()) ~policy:Solvers.Migrate.none
     in
     Alcotest.(check bool)
       (Printf.sprintf "mPareto <= NoMigration (seed %d)" seed)
@@ -65,8 +66,8 @@ let test_mpareto_beats_no_migration () =
 
 let test_optimal_at_least_matches_mpareto () =
   for seed = 1 to 3 do
-    let mp = Engine.run_day (scenario ~seed ()) ~policy:Engine.Mpareto in
-    let opt = Engine.run_day (scenario ~seed ()) ~policy:Engine.Optimal in
+    let mp = Engine.run_day (scenario ~seed ()) ~policy:Solvers.Migrate.mpareto in
+    let opt = Engine.run_day (scenario ~seed ()) ~policy:Solvers.Migrate.optimal in
     (* Both policies act greedily per hour, so the day totals can diverge
        slightly in either direction; the per-hour Optimal step is never
        worse than mPareto's from the same state, which in practice keeps
@@ -80,7 +81,7 @@ let test_optimal_at_least_matches_mpareto () =
 let test_hour1_initial_needs_no_correction () =
   let run =
     Engine.run_day (scenario ~initial:Scenario.Hour1 ~seed:5 ())
-      ~policy:Engine.Mpareto
+      ~policy:Solvers.Migrate.mpareto
   in
   (* The placement is already optimal(-ish) for hour 1, so the hour-1
      mPareto target equals the current placement: no migration. *)
@@ -90,7 +91,7 @@ let test_uninformed_initial_is_seeded () =
   let placement seed =
     (Engine.run_day
        (scenario ~initial:(Scenario.Uninformed seed) ~seed:1 ())
-       ~policy:Engine.No_migration)
+       ~policy:Solvers.Migrate.none)
       .initial_placement
   in
   Alcotest.(check bool) "same seed, same deployment" true
@@ -105,7 +106,7 @@ let test_vm_policies_keep_vnfs_fixed () =
          are VM moves and the initial placement persists, which we can
          observe via zero VNF-migration charge when mu_vm is huge. *)
       ignore run)
-    Engine.[ Plan; Mcf ];
+    Solvers.Migrate.[ plan; mcf ];
   let frozen_mu =
     Scenario.make ~mu:1e3 ~mu_vm:1e12 (problem ~l:20 ~n:4 ~seed:6)
   in
@@ -113,17 +114,17 @@ let test_vm_policies_keep_vnfs_fixed () =
     (fun policy ->
       let run = Engine.run_day frozen_mu ~policy in
       Alcotest.(check int)
-        (Engine.policy_name policy ^ " frozen by huge mu_vm")
+        (Solvers.label policy ^ " frozen by huge mu_vm")
         0 run.total_migrations)
-    Engine.[ Plan; Mcf ]
+    Solvers.Migrate.[ plan; mcf ]
 
 let test_lookahead_policy_runs () =
   for seed = 1 to 3 do
     let fc =
-      Engine.run_day (scenario ~seed ()) ~policy:Engine.Mpareto_lookahead
+      Engine.run_day (scenario ~seed ()) ~policy:Solvers.Migrate.forecast
     in
     let stay =
-      Engine.run_day (scenario ~seed ()) ~policy:Engine.No_migration
+      Engine.run_day (scenario ~seed ()) ~policy:Solvers.Migrate.none
     in
     Alcotest.(check bool)
       (Printf.sprintf "forecast day is coherent (seed %d)" seed)
@@ -132,8 +133,8 @@ let test_lookahead_policy_runs () =
   done
 
 let test_run_trace_equals_run_day () =
-  (* The horizon contract (engine.mli): both paths substitute the zero
-     vector for the forecast one epoch past the end, so the replay is
+  (* The horizon contract (engine.mli): both streams carry the zero
+     vector as the forecast one epoch past the end, so the replay is
      bit-identical hour for hour — lookahead included. *)
   let sc = scenario ~seed:4 () in
   let flows = Problem.flows (problem ~l:20 ~n:4 ~seed:4) in
@@ -143,25 +144,25 @@ let test_run_trace_equals_run_day () =
       let day = Engine.run_day sc ~policy in
       let replay = Engine.run_trace sc ~policy ~trace in
       Alcotest.(check (float 1e-6))
-        (Engine.policy_name policy ^ ": replay = diurnal day")
+        (Solvers.label policy ^ ": replay = diurnal day")
         day.Engine.total_cost replay.Engine.total_cost;
       Array.iteri
         (fun i (h : Engine.hour_record) ->
           let r = replay.Engine.hours.(i) in
           Alcotest.(check (float 0.0))
-            (Printf.sprintf "%s: hour %d comm" (Engine.policy_name policy)
+            (Printf.sprintf "%s: hour %d comm" (Solvers.label policy)
                h.hour)
             h.comm_cost r.comm_cost;
           Alcotest.(check (float 0.0))
-            (Printf.sprintf "%s: hour %d migration" (Engine.policy_name policy)
+            (Printf.sprintf "%s: hour %d migration" (Solvers.label policy)
                h.hour)
             h.migration_cost r.migration_cost;
           Alcotest.(check int)
-            (Printf.sprintf "%s: hour %d moves" (Engine.policy_name policy)
+            (Printf.sprintf "%s: hour %d moves" (Solvers.label policy)
                h.hour)
             h.migrations r.migrations)
         day.Engine.hours)
-    Engine.[ Mpareto; Mpareto_lookahead; No_migration; Plan ]
+    Solvers.Migrate.[ mpareto; forecast; none; plan ]
 
 let test_lookahead_zero_forecast_past_horizon () =
   (* A one-epoch trace: the only "next hour" lies past the horizon, so
@@ -172,7 +173,7 @@ let test_lookahead_zero_forecast_past_horizon () =
   let flows = Problem.flows sc.Scenario.problem in
   let rates = Ppdc_traffic.Flow.base_rates flows in
   let trace = Ppdc_traffic.Trace.make ~flows ~rates:[| rates |] in
-  let run = Engine.run_trace sc ~policy:Engine.Mpareto_lookahead ~trace in
+  let run = Engine.run_trace sc ~policy:Solvers.Migrate.forecast ~trace in
   Alcotest.(check int) "one epoch" 1 (Array.length run.hours);
   let decision = Array.map (fun r -> 0.5 *. r) rates in
   let out =
@@ -194,7 +195,7 @@ let test_metrics_events_per_epoch () =
       Obs.reset ();
       Obs.set_enabled false)
     (fun () ->
-      let run = Engine.run_day (scenario ~seed:2 ()) ~policy:Engine.Mpareto in
+      let run = Engine.run_day (scenario ~seed:2 ()) ~policy:Solvers.Migrate.mpareto in
       let snap = Obs.snapshot () in
       let epochs =
         List.filter (fun (e : Obs.event) -> e.Obs.name = "sim.epoch")
@@ -215,14 +216,17 @@ let test_run_trace_rejects_mismatch () =
   in
   Alcotest.(check bool) "flow-count mismatch raises" true
     (try
-       ignore (Engine.run_trace sc ~policy:Engine.Mpareto ~trace);
+       ignore (Engine.run_trace sc ~policy:Solvers.Migrate.mpareto ~trace);
        false
      with Invalid_argument _ -> true)
 
 let test_policy_names () =
-  Alcotest.(check string) "mPareto" "mPareto" (Engine.policy_name Engine.Mpareto);
+  Alcotest.(check string) "mPareto" "mPareto"
+    (Solvers.label Solvers.Migrate.mpareto);
   Alcotest.(check string) "NoMigration" "NoMigration"
-    (Engine.policy_name Engine.No_migration)
+    (Solvers.label Solvers.Migrate.none);
+  Alcotest.(check string) "forecast" "mPareto+forecast"
+    (Solvers.label Solvers.Migrate.forecast)
 
 let () =
   Alcotest.run "ppdc_sim"
