@@ -79,15 +79,27 @@ let with_server ?workers ?max_pending ?request_timeout ?engine ?shards
     Unix.sleepf 0.005
   done;
   if not (Atomic.get ready) then Alcotest.fail "server never became ready";
-  Fun.protect
-    ~finally:(fun () ->
+  (* Teardown: ask until the server has really stopped. With one worker
+     and no pending slots, the shutdown connection can arrive while the
+     worker is still closing the test's last connection; it is then
+     answered [overloaded], and joining at that point would wait
+     forever on a server that never heard the shutdown. *)
+  let stop () =
+    let deadline = Unix.gettimeofday () +. 10.0 in
+    while
+      (not (Engine.stopped engine))
+      && Float.compare (Unix.gettimeofday ()) deadline < 0
+    do
       (try
          ignore
            (Transport.call ~timeout:5.0 ~path
               [ {|{"id":"bye","method":"shutdown"}|} ])
        with _ -> ());
-      Domain.join srv)
-    (fun () -> f path)
+      if not (Engine.stopped engine) then Unix.sleepf 0.01
+    done;
+    Domain.join srv
+  in
+  Fun.protect ~finally:stop (fun () -> f path)
 
 let connect path =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
