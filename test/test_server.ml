@@ -864,7 +864,7 @@ let () =
           Alcotest.test_case "full protocol over --stdio" `Quick
             test_stdio_protocol;
         ] );
-      ( "solvers",
+      ( "solver",
         [
           Alcotest.test_case "every table entry over RPC" `Quick
             test_table_over_rpc;
