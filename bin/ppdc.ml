@@ -128,12 +128,12 @@ let topology_cmd =
       Table.create ~title:(Printf.sprintf "k=%d fat-tree PPDC" k)
         ~columns:[ "property"; "value" ]
     in
-    Table.add_row table [ "switches"; string_of_int (Graph.num_switches g) ];
-    Table.add_row table [ "hosts"; string_of_int (Graph.num_hosts g) ];
-    Table.add_row table [ "links"; string_of_int (Graph.num_edges g) ];
-    Table.add_row table [ "racks"; string_of_int (Ppdc_topology.Fat_tree.num_racks ft) ];
-    Table.add_row table
-      [ "diameter (hops)"; Printf.sprintf "%.0f" (Cost_matrix.diameter cm) ];
+    List.iter (fun (name, v) -> Table.add_row table [ name; v ])
+      [ ("switches", string_of_int (Graph.num_switches g));
+        ("hosts", string_of_int (Graph.num_hosts g));
+        ("links", string_of_int (Graph.num_edges g));
+        ("racks", string_of_int (Ppdc_topology.Fat_tree.num_racks ft));
+        ("diameter (hops)", Printf.sprintf "%.0f" (Cost_matrix.diameter cm)) ];
     Table.print table
     end
   in
@@ -149,13 +149,13 @@ let topology_cmd =
 
 (* Every solver-name option is generated from the one table, so the
    accepted names, the help text and the unknown-name error list
-   exactly {!Solvers.names}. *)
-let solver_arg kind ~long ~default ~what =
+   exactly {!Solvers.names}; the default is the kind's first entry. *)
+let solver_arg kind ~long ~what =
   let names = Solvers.names kind in
   let doc = Printf.sprintf "%s: %s." what (String.concat ", " names) in
   Arg.(
     value
-    & opt (enum (List.map (fun n -> (n, n)) names)) (Solvers.name default)
+    & opt (enum (List.map (fun n -> (n, n)) names)) (List.hd names)
     & info [ long ] ~docv:(String.uppercase_ascii long) ~doc)
 
 (* Parameters out of a solver's declared domain end the run with the
@@ -191,8 +191,7 @@ let place_cmd =
     Term.(
       const run $ domains_arg $ k_arg $ l_arg $ n_arg $ seed_arg
       $ weighted_arg
-      $ solver_arg Solvers.Placement ~long:"algo" ~default:Solvers.Place.dp
-          ~what:"Placement algorithm"
+      $ solver_arg Solvers.Placement ~long:"algo" ~what:"Placement algorithm"
       $ metrics_arg)
 
 (* --- migrate -------------------------------------------------------------- *)
@@ -230,8 +229,7 @@ let migrate_cmd =
     Term.(
       const run $ domains_arg $ k_arg $ l_arg $ n_arg $ seed_arg
       $ weighted_arg $ mu_arg
-      $ solver_arg Solvers.Migration ~long:"algo"
-          ~default:Solvers.Migrate.mpareto ~what:"Migration algorithm"
+      $ solver_arg Solvers.Migration ~long:"algo" ~what:"Migration algorithm"
       $ metrics_arg)
 
 (* --- simulate ------------------------------------------------------------- *)
@@ -408,8 +406,7 @@ let simulate_cmd =
   Cmd.v (Cmd.info "simulate" ~doc)
     Term.(
       const run $ domains_arg $ k_arg $ l_arg $ n_arg $ seed_arg $ mu_arg
-      $ solver_arg Solvers.Migration ~long:"policy"
-          ~default:Solvers.Migrate.mpareto ~what:"Migration policy"
+      $ solver_arg Solvers.Migration ~long:"policy" ~what:"Migration policy"
       $ trace_arg $ events_arg $ trigger_arg $ probe_every_arg
       $ failure_at_arg $ metrics_arg)
 
@@ -427,9 +424,7 @@ let ilp_cmd =
     in
     match output with
     | Some path ->
-        let oc = open_out path in
-        output_string oc lp;
-        close_out oc;
+        Out_channel.with_open_text path (fun oc -> output_string oc lp);
         Printf.printf "wrote %s (%d variables, %d constraints)\n" path
           (Ilp.variable_count problem)
           (Ilp.constraint_count problem)
@@ -491,9 +486,8 @@ let experiment_cmd =
                        (String.sub (slug (Table.title t)) 0
                           (min 40 (String.length (Table.title t)))))
                 in
-                let oc = open_out path in
-                output_string oc (Table.to_csv t);
-                close_out oc;
+                Out_channel.with_open_text path (fun oc ->
+                    output_string oc (Table.to_csv t));
                 Printf.printf "wrote %s\n" path)
               tables)
     | None ->
@@ -516,25 +510,16 @@ let experiment_cmd =
 
 let metrics_summary_cmd =
   let read_records path =
-    let ic = open_in path in
-    let records = ref [] in
-    let lineno = ref 0 in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        try
-          while true do
-            let line = input_line ic in
-            incr lineno;
-            if String.trim line <> "" then
-              match Json.parse line with
-              | json -> records := json :: !records
-              | exception Failure msg ->
-                  Printf.eprintf "%s:%d: %s\n" path !lineno msg;
-                  exit 1
-          done;
-          assert false
-        with End_of_file -> List.rev !records)
+    In_channel.with_open_text path In_channel.input_lines
+    |> List.mapi (fun i line ->
+           if String.trim line = "" then None
+           else
+             match Json.parse line with
+             | json -> Some json
+             | exception Failure msg ->
+                 Printf.eprintf "%s:%d: %s\n" path (i + 1) msg;
+                 exit 1)
+    |> List.filter_map Fun.id
   in
   let run path =
     if not (Sys.file_exists path) then begin
@@ -769,14 +754,8 @@ let rpc_cmd =
       match requests with
       | [] ->
           (* Read request lines from stdin. *)
-          let acc = ref [] in
-          (try
-             while true do
-               let line = input_line Stdlib.stdin in
-               if String.trim line <> "" then acc := line :: !acc
-             done
-           with End_of_file -> ());
-          List.rev !acc
+          List.filter (fun line -> String.trim line <> "")
+            (In_channel.input_lines stdin)
       | rs -> rs
     in
     (* Fill in sequential ids for requests that lack one; anything
@@ -846,10 +825,8 @@ let loadgen_cmd =
     (match out with
     | None -> ()
     | Some path ->
-        let oc = open_out path in
-        output_string oc (Json.to_string doc);
-        output_char oc '\n';
-        close_out oc;
+        Out_channel.with_open_text path (fun oc ->
+            output_string oc (Json.to_string doc ^ "\n"));
         Printf.eprintf "ppdc loadgen: wrote %s\n%!" path);
     print_endline (Json.to_string doc);
     (* Protocol-level failures (parse errors, handler exceptions,

@@ -32,19 +32,13 @@ let rescore mode =
   in
   List.iter
     (fun n ->
-      let instance ~seed = Runner.fat_tree_problem ~k ~l ~n ~seed () in
-      let plain =
+      let cost rescore =
         Runner.average ~trials (fun ~seed ->
-            let problem = instance ~seed in
+            let problem = Runner.fat_tree_problem ~k ~l ~n ~seed () in
             let rates = Flow.base_rates (Problem.flows problem) in
-            (Placement_dp.solve problem ~rates ()).cost)
+            (Placement_dp.solve problem ~rates ~rescore ()).cost)
       in
-      let rescored =
-        Runner.average ~trials (fun ~seed ->
-            let problem = instance ~seed in
-            let rates = Flow.base_rates (Problem.flows problem) in
-            (Placement_dp.solve problem ~rates ~rescore:true ()).cost)
-      in
+      let plain = cost false and rescored = cost true in
       Table.add_row table
         [
           string_of_int n;
@@ -79,12 +73,10 @@ let frontier mode =
         let rates = Workload.redraw_rates ~rng (Problem.flows problem) in
         Mpareto.migrate problem ~rates ~mu ~current ~collisions:policy ()
       in
-      let skip =
-        Runner.average ~trials (fun ~seed -> (run_with `Skip ~seed).total_cost)
+      let total policy =
+        Runner.average ~trials (fun ~seed -> (run_with policy ~seed).total_cost)
       in
-      let allow =
-        Runner.average ~trials (fun ~seed -> (run_with `Allow ~seed).total_cost)
-      in
+      let skip = total `Skip and allow = total `Allow in
       let colliding =
         Runner.average ~trials (fun ~seed ->
             let out = run_with `Skip ~seed in
@@ -151,18 +143,14 @@ let pair_limit mode =
   in
   List.iter
     (fun n ->
-      let cost ?pair_limit ~seed () =
-        let problem = Runner.fat_tree_problem ~k ~l ~n ~seed () in
-        let rates = Flow.base_rates (Problem.flows problem) in
-        (Placement_dp.solve problem ~rates ?pair_limit ()).cost
+      let cost ?pair_limit () =
+        Runner.average ~trials (fun ~seed ->
+            let problem = Runner.fat_tree_problem ~k ~l ~n ~seed () in
+            let rates = Flow.base_rates (Problem.flows problem) in
+            (Placement_dp.solve problem ~rates ?pair_limit ()).cost)
       in
-      let full = Runner.average ~trials (fun ~seed -> cost ~seed ()) in
-      let cap16 =
-        Runner.average ~trials (fun ~seed -> cost ~pair_limit:16 ~seed ())
-      in
-      let cap4 =
-        Runner.average ~trials (fun ~seed -> cost ~pair_limit:4 ~seed ())
-      in
+      let full = cost () and cap16 = cost ~pair_limit:16 () in
+      let cap4 = cost ~pair_limit:4 () in
       Table.add_row table
         [
           string_of_int n;

@@ -198,20 +198,11 @@ let failures mode =
         Failures.impact ~rng:(Rng.create (seed * 71)) ~fraction ~mu problem
           ~rates ~placement
       in
-      let before =
-        Runner.average ~trials (fun ~seed -> (episode ~seed).Failures.cost_before)
-      in
-      let after =
-        Runner.average ~trials (fun ~seed -> (episode ~seed).Failures.cost_after)
-      in
-      let migrated =
-        Runner.average ~trials (fun ~seed ->
-            (episode ~seed).Failures.cost_migrated)
-      in
-      let moves =
-        Runner.average ~trials (fun ~seed ->
-            float_of_int (episode ~seed).Failures.moved)
-      in
+      let avg f = Runner.average ~trials (fun ~seed -> f (episode ~seed)) in
+      let before = avg (fun e -> e.Failures.cost_before) in
+      let after = avg (fun e -> e.Failures.cost_after) in
+      let migrated = avg (fun e -> e.Failures.cost_migrated) in
+      let moves = avg (fun e -> float_of_int e.Failures.moved) in
       Table.add_row table
         [
           Printf.sprintf "%.0f%%" (100.0 *. fraction);
@@ -244,12 +235,9 @@ let utilization mode =
         let p = (Placement_dp.solve problem ~rates ()).placement in
         Link_load.compute problem ~rates p
       in
-      let max_load =
-        Runner.average ~trials (fun ~seed -> Link_load.max_load (loads ~seed))
-      in
-      let mean_load =
-        Runner.average ~trials (fun ~seed -> Link_load.mean_load (loads ~seed))
-      in
+      let avg f = Runner.average ~trials (fun ~seed -> f (loads ~seed)) in
+      let max_load = avg Link_load.max_load in
+      let mean_load = avg Link_load.mean_load in
       Table.add_row table
         [
           string_of_int n;

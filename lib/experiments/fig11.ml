@@ -18,17 +18,10 @@ let hourly ~mode ~k ~l ~n ~mu ~trials policy =
     Array.init trials (fun i ->
         Engine.run_day (scenario ~mode ~k ~l ~n ~mu ~seed:(i + 1)) ~policy)
   in
-  let hours = Array.length runs.(0).Engine.hours in
-  Array.init hours (fun h ->
-      let costs =
-        Array.map (fun r -> r.Engine.hours.(h).Engine.total_cost) runs
-      in
-      let migrations =
-        Array.map
-          (fun r -> float_of_int r.Engine.hours.(h).Engine.migrations)
-          runs
-      in
-      (Stats.summary costs, Stats.summary migrations))
+  Array.init (Array.length runs.(0).Engine.hours) (fun h ->
+      let at f = Stats.summary (Array.map (fun r -> f r.Engine.hours.(h)) runs) in
+      ( at (fun (x : Engine.hour_record) -> x.total_cost),
+        at (fun x -> float_of_int x.migrations) ))
 
 let total ~mode ~k ~l ~n ~mu ~trials policy =
   Runner.average ~trials (fun ~seed ->

@@ -277,16 +277,20 @@ let load_topology t params =
 (* Solver dispatch goes through the one table ({!Ppdc_sim.Solvers}):
    the request names an entry, the entry declares (and validates) the
    parameters it reads, and the answer renders its uniform outcome. *)
-let solver params kind ~key ~default =
-  Option.fold ~none:default ~some:(Solvers.find ~what:key kind)
+let solver params kind ~key =
+  Option.fold ~none:(List.hd (Solvers.all kind))
+    ~some:(Solvers.find ~what:key kind)
     (Protocol.str_param params key)
 
-let solver_params params =
+(* [migrate] takes no [pair_limit]: only [place] reads one. *)
+let solver_params kind params =
   let mu = Protocol.float_param params "mu" in
   { Solvers.default_params with
     mu = Option.value ~default:Solvers.default_params.mu mu;
     budget = Protocol.int_param params "budget";
-    pair_limit = Protocol.int_param params "pair_limit" }
+    pair_limit =
+      (if kind = Solvers.Placement then Protocol.int_param params "pair_limit"
+       else None) }
 
 let detail_fields : Solvers.detail option -> (string * Json.t) list = function
   | None -> []
@@ -296,8 +300,8 @@ let detail_fields : Solvers.detail option -> (string * Json.t) list = function
         ("explored", num explored) ]
   | Some (Frontiers f) -> [ ("frontiers", num f) ]
   | Some (Primal_dual stroll) ->
-      let fields (s : Solvers.stroll) =
-        [ ("prize", fnum s.prize); ("iterations", num s.iterations) ]
+      let fields (prize, iterations) =
+        [ ("prize", fnum prize); ("iterations", num iterations) ]
       in
       [ ( Solvers.name Solvers.Place.primal_dual,
           Json.Obj (Option.fold ~none:[] ~some:fields stroll) ) ]
@@ -305,9 +309,9 @@ let detail_fields : Solvers.detail option -> (string * Json.t) list = function
 (* [place] and [migrate]: run the named entry against the session.
    Placements and VNF migrations move the chain, VM migrations move
    endpoints; both persist for later requests. *)
-let solve kind ~default t params =
+let solve kind t params =
   with_session t params @@ fun s ->
-  let entry = solver params kind ~key:"algo" ~default in
+  let entry = solver params kind ~key:"algo" in
   let current =
     match (kind, s.placement) with
     | Solvers.Placement, _ -> None
@@ -318,7 +322,7 @@ let solve kind ~default t params =
   in
   let t0 = Clock.now () in
   let hit, problem = problem_of t s in
-  let p = solver_params params in
+  let p = solver_params kind params in
   let o = Solvers.run entry problem ~rates:s.rates ?current p in
   s.placement <- Some o.placement;
   Option.iter (fun flows -> s.flows <- flows) o.flows;
@@ -457,10 +461,7 @@ let simulate_events t params =
     Ppdc_sim.Event_engine.trigger_of_string
       (Option.value ~default:"periodic:1" (Protocol.str_param params "trigger"))
   in
-  let policy =
-    solver params Solvers.Migration ~key:"policy"
-      ~default:Solvers.Migrate.mpareto
-  in
+  let policy = solver params Solvers.Migration ~key:"policy" in
   let t0 = Clock.now () in
   let hit, problem = problem_of t s in
   let scenario = Ppdc_sim.Scenario.make ~mu problem in
@@ -474,22 +475,22 @@ let simulate_events t params =
       (Ppdc_sim.Scenario.events_of_diurnal scenario)
   in
   let r = Ppdc_sim.Event_engine.run scenario ~policy ~trigger ~events () in
-  Json.Obj
-    [
-      ("policy", Json.Str (Solvers.label policy));
-      ("trigger", Json.Str (Ppdc_sim.Event_engine.trigger_name trigger));
-      ("mu", fnum mu);
-      ("events", num (Array.length r.Ppdc_sim.Event_engine.records));
-      ("reconfigurations", num r.Ppdc_sim.Event_engine.reconfigurations);
-      ("moves", num r.Ppdc_sim.Event_engine.total_moves);
-      ("comm_cost", fnum r.Ppdc_sim.Event_engine.total_comm);
-      ("migration_cost", fnum r.Ppdc_sim.Event_engine.total_migration);
-      ("total_cost", fnum r.Ppdc_sim.Event_engine.total_cost);
-      ( "final_placement",
-        placement_json r.Ppdc_sim.Event_engine.final_placement );
-      ("cache_hit", Json.Bool hit);
-      ("elapsed_ms", fnum (1000.0 *. Clock.elapsed_s ~since:t0));
-    ]
+  Ppdc_sim.Event_engine.(
+    Json.Obj
+      [
+        ("policy", Json.Str (Solvers.label policy));
+        ("trigger", Json.Str (trigger_name trigger));
+        ("mu", fnum mu);
+        ("events", num (Array.length r.records));
+        ("reconfigurations", num r.reconfigurations);
+        ("moves", num r.total_moves);
+        ("comm_cost", fnum r.total_comm);
+        ("migration_cost", fnum r.total_migration);
+        ("total_cost", fnum r.total_cost);
+        ("final_placement", placement_json r.final_placement);
+        ("cache_hit", Json.Bool hit);
+        ("elapsed_ms", fnum (1000.0 *. Clock.elapsed_s ~since:t0));
+      ])
 
 let num_opt = function None -> Json.Null | Some v -> num v
 
@@ -659,8 +660,8 @@ let dispatch t (req : Protocol.request) =
     match req.meth with
     | "health" -> health
     | "load_topology" -> load_topology
-    | "place" -> solve Solvers.Placement ~default:Solvers.Place.dp
-    | "migrate" -> solve Solvers.Migration ~default:Solvers.Migrate.mpareto
+    | "place" -> solve Solvers.Placement
+    | "migrate" -> solve Solvers.Migration
     | "rates_update" -> rates_update
     | "fail_links" -> fail_links
     | "simulate_events" -> simulate_events

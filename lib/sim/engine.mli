@@ -10,21 +10,13 @@
 
     [run_day]/[run_trace] replay the hourly event stream through
     {!Event_engine} under [Periodic 1.0] and fold its records into
-    {!hour_record}s (hour [i] pairs record [i]'s migration with the
-    communication segment [i, i+1)).
+    {!hour_record}s: hour [i] pairs record [i]'s migration with the
+    communication segment [i, i+1). The {!Solvers.Migrate.forecast}
+    entry sees the next hour's rate vector, all-zero at the last hour.
 
-    The {!Solvers.Migrate.forecast} entry sees the next hour's rate
-    vector. {b Horizon contract}: at the final epoch the "next hour"
-    does not exist; the forecast used there is the all-zero rate
-    vector — the day (or trace) simply ends. Replaying
-    [Trace.of_diurnal] of a scenario's flows is therefore
-    bit-identical to [run_day] under every entry.
-
-    Observability: when {!Ppdc_prelude.Obs} is enabled, every
-    simulated hour emits a [sim.epoch] event (policy, hour,
-    comm/migration cost, moves), and {!Event_engine} records each
-    decision under the [sim.step.<label>] span; the layer is a no-op
-    otherwise. *)
+    Observability: when {!Ppdc_prelude.Obs} is enabled, the day emits
+    {!Event_engine}'s events and spans, then one [sim.epoch] event per
+    hour (policy, hour, comm/migration cost, moves). *)
 
 type hour_record = {
   hour : int;

@@ -126,7 +126,6 @@ let run ?(lookahead = 1.0) ?(migration_delay = 0.0) scenario ~policy ~trigger
   if Solvers.kind policy <> Solvers.Migration then
     invalid_arg "Event_engine.run: policy must be a migration solver";
   let params = Scenario.params scenario policy in
-  Solvers.validate policy params;
   let wants_forecast = List.mem Solvers.Forecast (Solvers.inputs policy) in
   let problem0 = scenario.Scenario.problem in
   let l = Problem.num_flows problem0 in

@@ -95,8 +95,8 @@ val run :
     the problem's cost matrix incrementally
     ({!Ppdc_topology.Cost_matrix.delete_edge} / [restore_edge]).
 
-    The policy's parameters come from {!Scenario.params}, validated
-    once up front ({!Solvers.Invalid_params}).
+    The policy's parameters come from {!Scenario.params}; {!Solvers.run}
+    validates them at each firing ({!Solvers.Invalid_params}).
 
     [lookahead] (default 1.0): the forecast handed to entries that
     read one ({!Solvers.Migrate.forecast}) is the rate vector after

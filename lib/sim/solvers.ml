@@ -15,13 +15,11 @@ type params = {
 let default_params =
   { mu = 1e4; budget = None; pair_limit = None; forecast = None }
 
-type stroll = { prize : float; iterations : int }
-
 type detail =
   | Objective of float
   | Search of { proven_optimal : bool; explored : int }
   | Frontiers of int
-  | Primal_dual of stroll option
+  | Primal_dual of (float * int) option
 
 type outcome = {
   placement : Placement.t;
@@ -45,8 +43,7 @@ type solve =
 
 type t = {
   name : string;
-  label : string;
-  citation : string;
+  title : string;
   inputs : input list;
   relocates : relocates;
   solve : solve;
@@ -100,42 +97,44 @@ let primal_dual_place problem ~rates =
             ~n:(n - 2) ~candidates ()
         in
         ( Array.concat [ [| p1 |]; o.switches; [| pn |] ],
-          Some { prize = o.prize; iterations = o.iterations } )
+          Some (o.prize, o.iterations) )
+
+let entry name title inputs relocates solve =
+  { name; title; inputs; relocates; solve }
 
 module Place = struct
-  let entry name label citation inputs f =
-    { name; label; citation; inputs; relocates = Nothing; solve = Place_with f }
+  let entry name title inputs f = entry name title inputs Nothing (Place_with f)
 
   let dp =
-    entry "dp" "DP" "(Algo 3)" [ Pair_limit ] (fun problem ~rates p ->
+    entry "dp" "DP (Algo 3)" [ Pair_limit ] (fun problem ~rates p ->
         let o = Placement_dp.solve problem ~rates ?pair_limit:p.pair_limit () in
         placed ~detail:(Objective o.objective) o.placement o.cost)
 
   let optimal =
-    entry "optimal" "Optimal" "(Algo 4)" [ Budget ] (fun problem ~rates p ->
+    entry "optimal" "Optimal (Algo 4)" [ Budget ] (fun problem ~rates p ->
         let o = Placement_opt.solve problem ~rates ?budget:p.budget () in
         placed ?detail:(search o.proven_optimal o.explored) o.placement o.cost)
 
   let primal_dual =
-    entry "primal_dual" "PrimalDual" "(Algo 1)" [] (fun problem ~rates _ ->
+    entry "primal_dual" "PrimalDual (Algo 1)" [] (fun problem ~rates _ ->
         let placement, stroll = primal_dual_place problem ~rates in
         placed ~detail:(Primal_dual stroll) placement
           (Cost.comm_cost problem ~rates placement))
 
   let steering =
-    entry "steering" "Steering" "[55]" [] (fun problem ~rates _ ->
+    entry "steering" "Steering [55]" [] (fun problem ~rates _ ->
         let o = Ppdc_baselines.Steering.place problem ~rates in
         placed o.placement o.cost)
 
   let greedy =
-    entry "greedy" "Greedy" "[34]" [] (fun problem ~rates _ ->
+    entry "greedy" "Greedy [34]" [] (fun problem ~rates _ ->
         let o = Ppdc_baselines.Greedy_liu.place problem ~rates in
         placed o.placement o.cost)
 end
 
 module Migrate = struct
-  let entry name label citation inputs relocates f =
-    { name; label; citation; inputs; relocates; solve = Migrate_with f }
+  let entry name title inputs relocates f =
+    entry name title inputs relocates (Migrate_with f)
 
   let mpareto_solve problem ~rates ~current p =
     of_mpareto
@@ -143,12 +142,12 @@ module Migrate = struct
          ?pair_limit:p.pair_limit ())
 
   let mpareto =
-    entry "mpareto" "mPareto" "(Algo 5)" [ Mu; Pair_limit ] Vnfs mpareto_solve
+    entry "mpareto" "mPareto (Algo 5)" [ Mu; Pair_limit ] Vnfs mpareto_solve
 
   (* Seeded with the mPareto migration as incumbent, so the bound
      Optimal-TOM <= mPareto survives an exhausted budget. *)
   let optimal =
-    entry "optimal" "Optimal" "(Algo 6)" [ Mu; Budget; Pair_limit ] Vnfs
+    entry "optimal" "Optimal (Algo 6)" [ Mu; Budget; Pair_limit ] Vnfs
       (fun problem ~rates ~current p ->
         let mu = p.mu in
         let incumbent = (mpareto_solve problem ~rates ~current p).placement in
@@ -166,7 +165,7 @@ module Migrate = struct
   (* Decide against the mean of the current and the forecast rate
      vectors; charge against reality. *)
   let forecast =
-    entry "forecast" "mPareto+forecast" "" [ Mu; Pair_limit; Forecast ] Vnfs
+    entry "forecast" "mPareto+forecast" [ Mu; Pair_limit; Forecast ] Vnfs
       (fun problem ~rates ~current p ->
         let next =
           match p.forecast with
@@ -185,19 +184,19 @@ module Migrate = struct
         { o with comm_cost; total_cost = comm_cost +. o.migration_cost })
 
   let plan =
-    entry "plan" "PLAN" "[17]" [ Mu ] Vms (fun problem ~rates ~current p ->
+    entry "plan" "PLAN [17]" [ Mu ] Vms (fun problem ~rates ~current p ->
         of_vm ~current
           (Ppdc_baselines.Plan.migrate problem ~rates ~mu_vm:p.mu
              ~placement:current ()))
 
   let mcf =
-    entry "mcf" "MCF" "[24]" [ Mu ] Vms (fun problem ~rates ~current p ->
+    entry "mcf" "MCF [24]" [ Mu ] Vms (fun problem ~rates ~current p ->
         of_vm ~current
           (Ppdc_baselines.Mcf_migration.migrate problem ~rates ~mu_vm:p.mu
              ~placement:current ()))
 
   let none =
-    entry "none" "NoMigration" "" [] Nothing (fun problem ~rates ~current _ ->
+    entry "none" "NoMigration" [] Nothing (fun problem ~rates ~current _ ->
         let o =
           Ppdc_baselines.No_migration.evaluate problem ~rates ~placement:current
         in
@@ -212,8 +211,8 @@ let kind t =
   match t.solve with Place_with _ -> Placement | Migrate_with _ -> Migration
 
 let name t = t.name
-let label t = t.label
-let title t = if t.citation = "" then t.label else t.label ^ " " ^ t.citation
+let title t = t.title
+let label t = List.hd (String.split_on_char ' ' t.title)
 let inputs t = t.inputs
 let relocates t = t.relocates
 let names k = List.map name (all k)

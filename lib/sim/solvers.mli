@@ -1,11 +1,9 @@
 (** The solver table: the one place that decides what a solver name
-    means. The CLI ([place]/[migrate]/[simulate]), the RPC methods
-    ([place]/[migrate]/[simulate_events]), the simulator and the
-    experiments all dispatch through it.
-
-    Each entry declares the parameters it reads ({!input}); {!run}
-    validates exactly those and answers with one uniform {!outcome}.
-    Unknown names are rejected listing the table's own names.
+    means. The CLI, the RPC methods, the simulator and the experiments
+    all dispatch through it. Each entry declares the parameters it
+    reads ({!input}); {!run} validates exactly those and answers with
+    one uniform {!outcome}. Unknown names are rejected listing the
+    table's own names.
 
     Settled semantics, the same on every surface:
     - migration [optimal] always seeds its branch-and-bound with the
@@ -42,13 +40,12 @@ type params = {
 val default_params : params
 (** [mu = 1e4], nothing else. *)
 
-type stroll = { prize : float; iterations : int }
-
 type detail =
   | Objective of float  (** [dp]'s pair-selection objective *)
   | Search of { proven_optimal : bool; explored : int }  (** [optimal] *)
   | Frontiers of int  (** [mpareto]/[forecast]: parallel frontiers *)
-  | Primal_dual of stroll option  (** [None] for n ≤ 2: no stroll *)
+  | Primal_dual of (float * int) option
+      (** the stroll's prize and iterations; [None] for n ≤ 2 *)
 
 type outcome = {
   placement : Ppdc_core.Placement.t;  (** unchanged by [Vms]/[Nothing] *)
@@ -90,7 +87,8 @@ end
 
 val all : kind -> t list
 val names : kind -> string list
-(** A kind's entries, and their names, in the order listed above. *)
+(** A kind's entries, and their names, in the order listed above. The
+    first ([dp], [mpareto]) is every surface's default. *)
 
 val find : ?what:string -> kind -> string -> t
 (** By wire/CLI name. Raises {!Invalid_params}
@@ -99,18 +97,14 @@ val find : ?what:string -> kind -> string -> t
 
 val kind : t -> kind
 val name : t -> string
-val label : t -> string
-
-val title : t -> string
-(** [name] is the wire/CLI name (["mpareto"]), [label] the display
-    label (["mPareto"]), [title] the label with its citation
-    (["mPareto (Algo 5)"], ["Steering [55]"]). *)
-
 val inputs : t -> input list
 val relocates : t -> relocates
 
-val validate : t -> params -> unit
-(** Check the numeric parameters the entry reads. *)
+val title : t -> string
+val label : t -> string
+(** [name] is the wire/CLI name (["mpareto"]), [title] the display
+    name with its citation (["mPareto (Algo 5)"], ["Steering [55]"]),
+    [label] the title without it (["mPareto"]). *)
 
 val run :
   t ->
@@ -119,9 +113,9 @@ val run :
   ?current:Ppdc_core.Placement.t ->
   params ->
   outcome
-(** Run the entry at [rates]; migration entries move from [current]
-    ([Invalid_argument] without it). Raises {!Invalid_params}.
-    Deterministic. *)
+(** Validate the entry's declared parameters, then run it at [rates];
+    migration entries move from [current] ([Invalid_argument] without
+    it). Raises {!Invalid_params}. Deterministic. *)
 
 (** A simulation's evolving chain and fabric/workload. *)
 type state = {

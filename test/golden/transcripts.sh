@@ -69,6 +69,7 @@ rpc)
 {"id":32,"method":"simulate_events","params":{"session":"w","policy":"mpareto","mu":100,"trigger":"threshold:1.2","probe_every":0.5}}
 {"id":33,"method":"simulate_events","params":{"session":"w","policy":"sometimes"}}
 {"id":34,"method":"migrate","params":{"session":"w","algo":"forecast","mu":100}}
+{"id":35,"method":"migrate","params":{"session":"u","algo":"optimal","mu":100,"pair_limit":0}}
 EOF
   ;;
 experiments)

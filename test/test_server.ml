@@ -362,6 +362,35 @@ let test_engine_solver_params_validated () =
        (Engine.handle_line e
           {|{"id":10,"method":"migrate","params":{"session":"s","algo":"optimal","mu":0,"budget":1}}|}))
 
+(* [pair_limit] is a [place] parameter only: [migrate] ignores it,
+   whatever its value, and answers exactly as without it. *)
+let test_engine_migrate_ignores_pair_limit () =
+  let migrate extra =
+    let e = eng () in
+    ignore (load e ());
+    List.iter
+      (fun line -> ignore (expect_ok (Engine.handle_line e line)))
+      [ {|{"id":1,"method":"place","params":{"session":"s"}}|};
+        {|{"id":2,"method":"rates_update","params":{"session":"s","seed":7}}|} ];
+    let r =
+      expect_ok
+        (Engine.handle_line e
+           (Printf.sprintf
+              {|{"id":3,"method":"migrate","params":{"session":"s","algo":"optimal","mu":100%s}}|}
+              extra))
+    in
+    List.map
+      (fun key -> Option.map Json.to_string (Json.member key r))
+      [ "placement"; "moved"; "total_cost"; "explored" ]
+  in
+  let plain = migrate "" in
+  List.iter
+    (fun limit ->
+      Alcotest.(check (list (option string)))
+        ("pair_limit " ^ limit) plain
+        (migrate (Printf.sprintf {|,"pair_limit":%s|} limit)))
+    [ "0"; "2" ]
+
 let test_engine_shutdown () =
   let e = eng () in
   ignore (expect_ok (Engine.handle_line e {|{"id":1,"method":"shutdown"}|}));
@@ -846,6 +875,8 @@ let () =
             test_engine_echoes_parsed_id;
           Alcotest.test_case "solver parameters validated where declared"
             `Quick test_engine_solver_params_validated;
+          Alcotest.test_case "migrate ignores pair_limit" `Quick
+            test_engine_migrate_ignores_pair_limit;
           Alcotest.test_case "shutdown" `Quick test_engine_shutdown;
           Alcotest.test_case "expired deadline is admission control" `Quick
             test_engine_deadline;
