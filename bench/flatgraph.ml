@@ -2,7 +2,9 @@
    Bigarray cost-matrix stack (BENCH_flatgraph.json).
 
    Measures all-pairs shortest paths on k=16/k=32 fat-trees (dial and
-   forced-heap engines) and an Algo. 3 placement solve. Timing,
+   forced-heap engines) and two Algo. 3 placement solves: k=8 n=4 and
+   the serving benchmark's solve-k12 shape (unweighted k=12, l=200,
+   n=5), where the egress-bound pruning does most of its work. Timing,
    artifact format and the normalized `--check` regression gate live
    in {!Bench_common}. *)
 
@@ -36,6 +38,15 @@ let run ~quick t =
   let problem = Ppdc_core.Problem.make ~cm:cm8 ~flows ~n:4 () in
   let rates = Flow.base_rates flows in
   Bench.record t "placement_dp_k8_n4" ~reps:5 (fun () ->
+      Ppdc_core.Placement_dp.solve problem ~rates ());
+  let ft12 = Fat_tree.build 12 in
+  let cm12 = Cost_matrix.compute ft12.graph in
+  let flows = Workload.generate_on_fat_tree ~rng ~l:200 ft12 in
+  let problem = Ppdc_core.Problem.make ~cm:cm12 ~flows ~n:5 () in
+  let rates = Flow.base_rates flows in
+  (* 15 reps: on a 2-core VM the min of 5 ranged over 18-31 ms between
+     runs, the min of 15 over 17-21 ms. *)
+  Bench.record t "placement_dp_k12_n5" ~reps:15 (fun () ->
       Ppdc_core.Placement_dp.solve problem ~rates ())
 
 let () = Bench.main ~bench:"flatgraph" ~reference:reference_entry run

@@ -1,5 +1,6 @@
 module Parallel = Ppdc_prelude.Parallel
 module Obs = Ppdc_prelude.Obs
+module Graph = Ppdc_topology.Graph
 
 let stroll_workspace = Domain.DLS.new_key Stroll_dp.workspace
 
@@ -63,6 +64,68 @@ let solve_n2 problem att ingresses egresses =
   let s, t = !best_pair in
   { placement = [| s; t |]; cost = !best; objective = !best }
 
+(* A bound beats the incumbent only when it clears it by a relative
+   margin, so a key summed in a different float order than its bound
+   can never prune a tying winner. A NaN or infinite bound never
+   prunes. *)
+let prunes bound incumbent =
+  Float.is_finite bound && bound *. (1.0 -. 1e-9) > incumbent
+
+(* [Cost.comm_cost_with_attach] of [ingress; middles; egress] — the
+   same sums in the same order, hence bit-identical — without building
+   the array. *)
+let pair_cost problem (att : Cost.attach) ingress middles egress =
+  let chain = ref 0.0 and prev = ref ingress in
+  Array.iter
+    (fun v ->
+      chain := !chain +. Problem.cost problem !prev v;
+      prev := v)
+    middles;
+  let chain = !chain +. Problem.cost problem !prev egress in
+  att.a_in.(ingress) +. (att.total_rate *. chain) +. att.a_out.(egress)
+
+(* [a] without the element [v], order kept. *)
+let without v a =
+  match Array.find_index (Int.equal v) a with
+  | None -> a
+  | Some j ->
+      Array.append (Array.sub a 0 j)
+        (Array.sub a (j + 1) (Array.length a - j - 1))
+
+(* [LB(e) = A_out(e) + min_{i<>e} A_in(i) + hop_floor] per egress
+   position. The smallest [A_in] and the runner-up without its switch
+   make the inner minimum O(1) per egress. [Float.min] propagates NaN,
+   so a bound whose minimum spans a NaN [A_in] is NaN and never
+   prunes. *)
+let lower_bounds (att : Cost.attach) ~ingresses ~egresses ~hop_floor =
+  let smallest =
+    Array.fold_left (fun m i -> Float.min m att.a_in.(i)) infinity ingresses
+  in
+  let argmin =
+    Option.value ~default:(-1)
+      (Array.find_opt (fun i -> Float.equal att.a_in.(i) smallest) ingresses)
+  in
+  let runner_up =
+    Array.fold_left
+      (fun m i -> if i = argmin then m else Float.min m att.a_in.(i))
+      infinity ingresses
+  in
+  Array.map
+    (fun e ->
+      let min_in = if e = argmin then runner_up else smallest in
+      att.a_out.(e) +. min_in +. hop_floor)
+    egresses
+
+(* Reduction of two (key, cost, placement, objective) candidates: the
+   earlier one survives unless the later key is not [>=] it — the
+   sequential double loop's strict [<], NaN cases included. *)
+let better acc candidate =
+  match (acc, candidate) with
+  | None, c -> c
+  | a, None -> a
+  | Some (best_key, _, _, _), Some (key, _, _, _) when key >= best_key -> acc
+  | _, c -> c
+
 let solve problem ~rates ?(rescore = false) ?pair_limit ?max_edges () =
   Obs.time "placement_dp.solve" @@ fun () ->
   let att = Cost.attach problem ~rates in
@@ -83,14 +146,27 @@ let solve problem ~rates ?(rescore = false) ?pair_limit ?max_edges () =
            "Placement_dp.solve: chain of %d VNFs needs %d candidate \
             switches, have %d"
            n n (Array.length switches));
-    (* One DP table per candidate egress, each answering every ingress
-       query — embarrassingly parallel across egresses. Each task scans
-       its ingresses in the original inner-loop order and keeps the
-       first strict improvement, and the per-egress winners are reduced
-       in egress index order with the same strict [<], so the outcome is
-       bit-identical to the sequential double loop for any
-       PPDC_DOMAINS. *)
-    let egress_best egress =
+    (* Every hop of a stroll, of the nearest-neighbour filler and of the
+       rescored chain joins two distinct switches, so it costs at least
+       the lightest edge: both keys of a pair are at least
+       [A_in + A_out + hop_floor]. [Λ · stroll] can only be NaN when [Λ]
+       is 0 or ∞; there the floor is NaN and nothing prunes. *)
+    let hop_floor =
+      if att.total_rate > 0.0 && Float.is_finite att.total_rate then begin
+        let weights = Graph.csr_weights (Problem.graph problem) in
+        let w_min = ref infinity in
+        for j = 0 to Array.length weights - 1 do
+          if weights.(j) < !w_min then w_min := weights.(j)
+        done;
+        att.total_rate *. float_of_int (n - 1) *. !w_min
+      end
+      else Float.nan
+    in
+    (* One DP table per candidate egress, answering every ingress query.
+       Each task scans its ingresses in the original inner-loop order,
+       keeping the first strict improvement, and skips an ingress whose
+       bound cannot reach the incumbent. *)
+    let egress_best ~incumbent egress =
       (* Re-prepare into this domain's workspace: the per-egress fan-out
          rebuilds the DP table in place instead of allocating one per
          egress. Tasks on different domains get distinct workspaces, so
@@ -100,62 +176,91 @@ let solve problem ~rates ?(rescore = false) ?pair_limit ?max_edges () =
           (Domain.DLS.get stroll_workspace)
           ~cm ~dst:egress ~candidates:switches ~extras:[||]
       in
-      let local = ref None in
-      let consider ~ingress ~middles ~stroll_cost =
-        Obs.incr "placement_dp.pairs_tried";
-        let placement = Array.concat [ [| ingress |]; middles; [| egress |] ] in
+      let others = lazy (without egress switches) in
+      let local = ref None and tried = ref 0 in
+      let consider ingress (r : Stroll_dp.result) =
+        incr tried;
         let objective =
           att.a_in.(ingress)
-          +. (att.total_rate *. stroll_cost)
+          +. (att.total_rate *. r.cost)
           +. att.a_out.(egress)
         in
-        let actual = Cost.comm_cost_with_attach problem att placement in
-        let key = if rescore then actual else objective in
+        let key =
+          if rescore then pair_cost problem att ingress r.switches egress
+          else objective
+        in
         match !local with
         | Some (best_key, _, _, _) when key >= best_key -> ()
-        | _ -> local := Some (key, actual, placement, objective)
+        | _ ->
+            let placement =
+              Array.concat [ [| ingress |]; r.switches; [| egress |] ]
+            in
+            let actual =
+              if rescore then key
+              else pair_cost problem att ingress r.switches egress
+            in
+            local := Some (key, actual, placement, objective)
       in
       Array.iter
         (fun ingress ->
-          if ingress <> egress then begin
+          if
+            ingress <> egress
+            && not
+                 (prunes
+                    (att.a_in.(ingress) +. att.a_out.(egress) +. hop_floor)
+                    incumbent)
+          then
             match
               Stroll_dp.query table ~src:ingress ~n:(n - 2) ?max_edges ()
             with
-            | Some r ->
-                consider ~ingress ~middles:r.switches ~stroll_cost:r.cost
+            | Some r -> consider ingress r
             | None ->
                 (* Edge budget exhausted for this pair: greedy filler so
                    the pair still competes. *)
-                let eligible =
-                  Array.of_list
-                    (List.filter
-                       (fun v -> v <> ingress && v <> egress)
-                       (Array.to_list switches))
-                in
-                let r =
-                  Stroll_dp.nearest_neighbour ~cm ~src:ingress ~dst:egress
-                    ~n:(n - 2) ~eligible
-                in
-                consider ~ingress ~middles:r.switches ~stroll_cost:r.cost
-          end)
+                consider ingress
+                  (Stroll_dp.nearest_neighbour ~cm ~src:ingress ~dst:egress
+                     ~n:(n - 2)
+                     ~eligible:(without ingress (Lazy.force others))))
         ingresses;
+      Obs.incr ~by:!tried "placement_dp.pairs_tried";
       !local
     in
-    let best =
-      Parallel.map_reduce
-        ~n:(Array.length egresses)
-        ~map:(fun ei -> egress_best egresses.(ei))
-        ~init:None
-        ~combine:(fun acc candidate ->
-          match (acc, candidate) with
-          | None, c -> c
-          | a, None -> a
-          | Some (best_key, _, _, _), Some (key, _, _, _) when key >= best_key
-            ->
-              acc
-          | _, c -> c)
+    (* Two waves. Wave 1 solves one egress per domain, smallest bound
+       first; its best key is the incumbent. Wave 2 solves only the
+       egresses whose bound can still reach it. A pruned egress's every
+       key exceeds the incumbent, hence the final winner, so the
+       index-order reduction below picks exactly what the full scan
+       would: bit-identical for any PPDC_DOMAINS. *)
+    let count = Array.length egresses in
+    let bounds = lower_bounds att ~ingresses ~egresses ~hop_floor in
+    let order = top_k bounds (Array.init count Fun.id) count in
+    let width = min count (Parallel.domain_count ()) in
+    let results = Array.make count None in
+    let wave ~incumbent positions =
+      if Array.length positions > 0 then
+        Array.iteri
+          (fun w r -> results.(positions.(w)) <- r)
+          (Parallel.init (Array.length positions) (fun w ->
+               egress_best ~incumbent egresses.(positions.(w))))
     in
-    match best with
+    wave ~incumbent:infinity (Array.sub order 0 width);
+    let incumbent =
+      Array.fold_left
+        (fun acc r ->
+          match r with Some (key, _, _, _) -> Float.min acc key | None -> acc)
+        infinity results
+    in
+    let rest =
+      Array.of_list
+        (List.filter
+           (fun ei -> not (prunes bounds.(ei) incumbent))
+           (Array.to_list (Array.sub order width (count - width))))
+    in
+    Obs.incr
+      ~by:(count - width - Array.length rest)
+      "placement_dp.egresses_pruned";
+    wave ~incumbent rest;
+    match Array.fold_left better None results with
     | Some (_, cost, placement, objective) -> { placement; cost; objective }
     | None -> invalid_arg "Placement_dp.solve: no feasible ingress/egress pair"
   end
